@@ -17,13 +17,12 @@ namespace nmc::common {
 enum class SamplerMode {
   /// Fast-forward: draw the gap to the next report as a geometric variate
   /// (one uniform per inter-report run) and consume the silent updates in
-  /// bulk. Distribution-preserving but consumes the RNG differently from
-  /// the per-coin reference, so fixed-seed transcripts differ.
+  /// bulk. The production sampler.
   kGeometricSkip,
-  /// Replay one Bernoulli coin per update, bit-identical to the historic
-  /// per-update implementation (the --legacy_pump benches and the
-  /// equivalence tests run in this mode).
-  kLegacyCoins,
+  /// One Bernoulli coin per update: the distributional reference the
+  /// equivalence tests compare the skip sampler against. Same law, a
+  /// different RNG consumption pattern, so fixed-seed transcripts differ.
+  kPerCoin,
 };
 
 /// Vitter-style skip sampler: for a Bernoulli(p) coin sequence with a
@@ -49,24 +48,17 @@ class GeometricSkip {
   static constexpr int64_t kInfiniteGap =
       std::numeric_limits<int64_t>::max() / 2;
 
-  explicit GeometricSkip(SamplerMode mode = SamplerMode::kGeometricSkip)
-      : mode_(mode) {}
-
-  SamplerMode mode() const { return mode_; }
-
-  /// Opt-in bulk gap feed: with a BatchRng attached, skip-mode EnsureGap
-  /// draws from vector-generated blocks instead of one scalar
-  /// transcendental per run. The feed only pre-draws a block once the
-  /// same rate is requested twice in a row, so rate ladders (the
-  /// single-site chunk walk, where every draw is at a fresh rate) never
-  /// waste bulk draws, while frozen-rate consumers (HYZ rounds, SBC
-  /// stages) amortize one log1p over kFeedBlockGaps draws. Pre-drawn gaps
-  /// are discarded on any rate change — exact by memorylessness, since
-  /// the discard decision never looks at the unexamined values. Attaching
-  /// a feed reorders RNG consumption, so fixed-seed skip-mode transcripts
-  /// change; legacy-coins mode ignores the feed entirely and keeps its
-  /// bit-exact replay promise. The pointer is non-owning and must outlive
-  /// the sampler. The first attach allocates the block storage once — a
+  /// Opt-in bulk gap feed: with a BatchRng attached, EnsureGap draws from
+  /// vector-generated blocks instead of one scalar transcendental per
+  /// run. The feed only pre-draws a block once the same rate is requested
+  /// twice in a row, so rate ladders (the single-site chunk walk, where
+  /// every draw is at a fresh rate) never waste bulk draws, while
+  /// frozen-rate consumers (HYZ rounds, SBC stages) amortize one log1p
+  /// over up to kFeedBlockGaps draws. Pre-drawn gaps are discarded on any
+  /// rate change — exact by memorylessness, since the discard decision
+  /// never looks at the unexamined values. Attaching a feed reorders RNG
+  /// consumption, so fixed-seed transcripts depend on whether one is
+  /// attached. The pointer is non-owning and must outlive the sampler. The first attach allocates the block storage once — a
   /// setup-time allocation; the serve path itself never allocates.
   void AttachBatchRng(common::BatchRng* batch) {
     batch_ = batch;
@@ -199,21 +191,6 @@ class GeometricSkip {
     return gap_;
   }
 
-  /// One-update convenience used by sites that cannot batch: in legacy
-  /// mode exactly rng->Bernoulli(rate) (same draws, same result); in skip
-  /// mode the cached-gap walk. The caller still owns invalidation on rate
-  /// changes.
-  bool Step(common::Rng* rng, double rate) {
-    if (mode_ == SamplerMode::kLegacyCoins) return rng->Bernoulli(rate);
-    EnsureGap(rng, rate);
-    if (gap_ > 0) {
-      --gap_;
-      return false;
-    }
-    valid_ = false;
-    return true;
-  }
-
  private:
   /// Repeat-rate feed draw: serve the next pre-drawn gap, refilling a
   /// block (at the current rung of the growth schedule) when the previous
@@ -248,7 +225,6 @@ class GeometricSkip {
     gap_ = single;
   }
 
-  SamplerMode mode_;
   bool valid_ = false;
   int64_t gap_ = 0;
   /// Memoized log1p(-memo_rate_) for EnsureGap (kept across Invalidate:

@@ -101,13 +101,10 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
         num_sites_(num_sites),
         options_(options),
         network_(network),
-        rng_(rng),
-        skip_(options.sampler) {
+        rng_(rng) {
     if (options_.sampler == common::SamplerMode::kGeometricSkip) {
-      // Bulk gap feed for skip-mode draws. Seeding consumes one u64 from
-      // rng_, which is fine: skip-mode transcripts are already allowed to
-      // differ from legacy per-seed, and legacy mode never reaches this
-      // branch, so its bit-exact replay promise is untouched.
+      // Bulk gap feed for skip-mode draws (seeding consumes one u64 from
+      // rng_; the per-coin reference draws no gaps and skips it).
       batch_rng_ = common::BatchRng(rng_.NextU64());
       skip_.AttachBatchRng(&batch_rng_);
     }
@@ -133,16 +130,14 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     NMC_CHECK(!phase2_);  // Phase-2 updates are routed to the HYZ pair
     NMC_CHECK(!values.empty());
 
-    if (num_sites_ == 1) return ConsumeSingleSite(values);
-
-    if (!in_sbc_stage_) {
+    if (num_sites_ > 1 && !in_sbc_stage_) {
       // StraightSync: every update is forwarded, so runs cannot be
       // fast-forwarded — each update is a message event.
       Absorb(values[0]);
       SendSnapshot(kStraightReport);
       return 1;
     }
-    return ConsumeSbc(values);
+    return ConsumeThinned(values);
   }
 
   void OnCoordinatorMessage(const sim::Message& message) override {
@@ -159,13 +154,12 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
         in_sbc_stage_ = (message.v == kStageSbc);
         rate_scale_ = message.b;
         updates_since_state_ = 0;
-        // The broadcast moved the rate inputs: any cached inter-report
-        // gap was drawn at a dominating rate that no longer applies.
-        skip_.Invalidate();
+        // The broadcast moved the rate inputs: the dominating rate of the
+        // cached inter-report gap no longer applies.
+        span_left_ = 0;
         break;
       case kPhase2:
         phase2_ = true;
-        skip_.Invalidate();
         break;
       default:
         NMC_CHECK(false);
@@ -264,169 +258,117 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     for (const double value : values) Absorb(value);
   }
 
-  /// Single-site form (Theorem 3.1): the site samples against its own
-  /// exact count; a head costs one message and needs no reply.
-  int64_t ConsumeSingleSite(std::span<const double> values) {
-    // The fast-forward chunk bound (fast_forward_) needs |local_sum_| to
-    // move by at most 1 per update and the rate law to be monotone in |s|
-    // at fixed epsilon — which rules out unbounded fBm increments and the
-    // per-update rescaling of variance_adaptive. Those run on the
-    // per-coin reference path (in legacy mode everything does).
-    if (!fast_forward_) {
-      int64_t consumed = 0;
-      const int64_t count = static_cast<int64_t>(values.size());
-      while (consumed < count) {
-        Absorb(values[static_cast<size_t>(consumed)]);
-        ++consumed;
-        const double scale =
-            VarianceScale(options_, local_sum_sq_, local_updates_);
-        const double rate =
-            options_.stage_policy == StagePolicy::kStraightOnly
-                ? 1.0
-                : Phase1Rate(options_, local_sum_, local_updates_, scale);
-        if (rng_.Bernoulli(rate)) {
-          SendSnapshot(kExactReport);
-          break;
-        }
-      }
-      return consumed;
-    }
-
-    // Fast-forward: thinned geometric skips over a chunk of updates whose
-    // rate is dominated by chunk_dom_ (the rate at the smallest |s| and
-    // earliest t the chunk can reach). Candidates fire at the dominating
-    // rate and are accepted with probability rate/chunk_dom_, which makes
-    // every update an exact Bernoulli(rate) trial; discarding a partially
-    // consumed gap at a chunk boundary is exact by memorylessness.
-    int64_t consumed = 0;
+  /// Phase 1's one sampling rule, eq. (1)/(2): each update fires a report
+  /// with probability rate_t. Candidates come from geometric gaps drawn at
+  /// a dominating rate dom_ >= rate_t that holds for the next span_left_
+  /// updates, and each candidate is accepted with probability
+  /// rate_t / dom_, which makes every update an exact Bernoulli(rate_t)
+  /// trial. Discarding a partially consumed gap when the span expires is
+  /// exact by memorylessness. Dominate(), CandidateRate() and Report()
+  /// are all that differ between the single-site, SBC and per-coin forms.
+  int64_t ConsumeThinned(std::span<const double> values) {
     const int64_t count = static_cast<int64_t>(values.size());
-    // Whole-span fast path: a cached gap that covers the span inside the
-    // live chunk absorbs it in one shot. Exactly the loop below with
-    // m == count — EnsureGap is a no-op on a valid gap and the candidate
-    // branch is unreachable — minus the min/branch bookkeeping, which is
-    // most of the per-call cost at small pump batch sizes.
-    if (chunk_left_ >= count && skip_.valid() && skip_.gap() >= count) {
+    // Whole-run fast path: a cached gap that covers the run inside the
+    // live domination span absorbs it in one shot. Exactly the loop below
+    // with m == count — EnsureGap is a no-op on a valid gap and the
+    // candidate branch is unreachable — minus the min/branch bookkeeping,
+    // which is most of the per-call cost at small pump batch sizes.
+    if (span_left_ >= count && skip_.valid() && skip_.gap() >= count) {
       AbsorbRun(values);
-      chunk_left_ -= count;
+      span_left_ -= count;
       skip_.Advance(count);
       return count;
     }
-    while (consumed < count) {
-      if (chunk_left_ <= 0) RestartSingleSiteChunk();
-      skip_.EnsureGap(&rng_, chunk_dom_);
-      const int64_t m =
-          std::min({skip_.gap(), chunk_left_, count - consumed});
-      if (m > 0) {
-        AbsorbRun(values.subspan(static_cast<size_t>(consumed),
-                                 static_cast<size_t>(m)));
-        consumed += m;
-        chunk_left_ -= m;
-        skip_.Advance(m);
-      }
-      if (consumed == count) break;
-      if (chunk_left_ == 0) continue;  // domination span expired: rechunk
-      // gap == 0 within the chunk: the next update is a candidate.
-      Absorb(values[static_cast<size_t>(consumed)]);
-      ++consumed;
-      --chunk_left_;
-      skip_.TakeCandidate();
-      const double rate =
-          options_.stage_policy == StagePolicy::kStraightOnly
-              ? 1.0
-              : Phase1Rate(options_, local_sum_, local_updates_,
-                           /*scale=*/1.0);
-      // The chunk stays valid across reports: its domination argument
-      // bounds |s| and t over the next chunk_left_ updates and does not
-      // involve the report history, so only the gap is redrawn.
-      const bool accept =
-          rate >= chunk_dom_ || rng_.UniformDouble() * chunk_dom_ < rate;
-      if (accept) {
-        SendSnapshot(kExactReport);
-        break;
-      }
-    }
-    return consumed;
-  }
-
-  void RestartSingleSiteChunk() {
-    skip_.Invalidate();
-    if (options_.stage_policy == StagePolicy::kStraightOnly) {
-      chunk_dom_ = 1.0;  // rate is the constant 1: every update reports
-      chunk_left_ = common::GeometricSkip::kInfiniteGap;
-      return;
-    }
-    const double abs_s = std::fabs(local_sum_);
-    int64_t span = static_cast<int64_t>(abs_s / kChunkDivisor);
-    if (span < 1) span = 1;
-    const double s_min = std::max(abs_s - static_cast<double>(span), 0.0);
-    // Updates are bounded by 1, so |s| >= s_min throughout the span and
-    // t >= local_updates_ + 1 at the first update: both the walk law
-    // (decreasing in |s|) and the drift guard (decreasing in t) are
-    // dominated by the rate at (s_min, t + 1).
-    chunk_dom_ =
-        Phase1Rate(options_, s_min, local_updates_ + 1, /*scale=*/1.0);
-    chunk_left_ = span;
-  }
-
-  /// SBC: sample against the last broadcast estimate. The global time
-  /// estimate (for the drift guard) is the broadcast time plus the
-  /// updates this site has seen since — an underestimate of the true t,
-  /// which errs toward sampling more, never less.
-  int64_t ConsumeSbc(std::span<const double> values) {
-    const int64_t count = static_cast<int64_t>(values.size());
-    if (skip_.mode() == common::SamplerMode::kLegacyCoins) {
-      int64_t consumed = 0;
-      while (consumed < count) {
-        Absorb(values[static_cast<size_t>(consumed)]);
-        ++consumed;
-        const double rate =
-            Phase1Rate(options_, global_estimate_,
-                       global_time_ + updates_since_state_, rate_scale_,
-                       &walk_cache_);
-        if (rng_.Bernoulli(rate)) {
-          SendSyncRequest();
-          break;
-        }
-      }
-      return consumed;
-    }
-
-    // Fast-forward: between broadcasts the walk/fBm term is frozen and
-    // the drift guard only decays, so the rate at the next update
-    // dominates every later one until the next kState invalidates the
-    // gap. Candidates are thinned by rate/sbc_dom_ (identically 1 once
-    // the frozen walk term dominates the guard).
     int64_t consumed = 0;
     while (consumed < count) {
-      if (!skip_.valid()) {
-        sbc_dom_ = Phase1Rate(options_, global_estimate_,
-                              global_time_ + updates_since_state_ + 1,
-                              rate_scale_, &walk_cache_);
-        skip_.EnsureGap(&rng_, sbc_dom_);
-      }
-      const int64_t m = std::min(skip_.gap(), count - consumed);
+      if (span_left_ <= 0) Dominate();
+      skip_.EnsureGap(&rng_, dom_);
+      const int64_t m =
+          std::min({skip_.gap(), span_left_, count - consumed});
       if (m > 0) {
         AbsorbRun(values.subspan(static_cast<size_t>(consumed),
                                  static_cast<size_t>(m)));
         consumed += m;
+        span_left_ -= m;
         skip_.Advance(m);
       }
       if (consumed == count) break;
+      if (span_left_ == 0) continue;  // domination span expired
+      // gap == 0 within the span: the next update is a candidate.
       Absorb(values[static_cast<size_t>(consumed)]);
       ++consumed;
+      --span_left_;
       skip_.TakeCandidate();
-      const double rate =
-          Phase1Rate(options_, global_estimate_,
-                     global_time_ + updates_since_state_, rate_scale_,
-                     &walk_cache_);
-      const bool accept =
-          rate >= sbc_dom_ || rng_.UniformDouble() * sbc_dom_ < rate;
-      if (accept) {
-        SendSyncRequest();
+      const double rate = CandidateRate();
+      // The single-site bound covers |s| and t over the whole chunk and
+      // does not involve the report history, so it survives candidates and
+      // only the gap is redrawn. SBC re-dominates at every redraw instead:
+      // the decaying drift guard makes the next update's rate the tightest
+      // bound.
+      if (num_sites_ > 1) span_left_ = 0;
+      if (rate >= dom_ || rng_.UniformDouble() * dom_ < rate) {
+        Report();
         break;
       }
     }
     return consumed;
+  }
+
+  /// Starts a domination span: sets dom_ and span_left_.
+  void Dominate() {
+    skip_.Invalidate();
+    if (per_coin_) {
+      // Every update is a candidate accepted with probability rate (> 0
+      // for finite estimates): exactly the draws of rng_.Bernoulli(rate).
+      dom_ = 1.0;
+      span_left_ = 1;
+    } else if (num_sites_ == 1) {
+      // Single site: a chunk of max(1, |s|/kChunkDivisor) updates. Updates
+      // are bounded by 1, so |s| >= s_min throughout the chunk and
+      // t >= local_updates_ + 1 at its first update: both the walk law
+      // (decreasing in |s|) and the drift guard (decreasing in t) are
+      // dominated by the rate at (s_min, t + 1).
+      const double abs_s = std::fabs(local_sum_);
+      span_left_ = std::max<int64_t>(
+          static_cast<int64_t>(abs_s / kChunkDivisor), 1);
+      const double s_min =
+          std::max(abs_s - static_cast<double>(span_left_), 0.0);
+      dom_ = Phase1Rate(options_, s_min, local_updates_ + 1, /*scale=*/1.0);
+    } else {
+      // SBC samples against the last broadcast: the walk/fBm term is
+      // frozen until the next kState and the drift guard only decays, so
+      // the rate at the next update dominates every later one.
+      dom_ = Phase1Rate(options_, global_estimate_,
+                        global_time_ + updates_since_state_ + 1, rate_scale_,
+                        &walk_cache_);
+      span_left_ = common::GeometricSkip::kInfiniteGap;
+    }
+  }
+
+  /// The exact eq. (1)/(2) rate at the update just absorbed. The single
+  /// site samples against its own exact count (Theorem 3.1); SBC against
+  /// the last broadcast estimate, with the broadcast time plus the updates
+  /// this site has seen since as the drift guard's t — an underestimate of
+  /// the true t, which errs toward sampling more, never less.
+  double CandidateRate() {
+    if (num_sites_ == 1) {
+      if (options_.stage_policy == StagePolicy::kStraightOnly) return 1.0;
+      return Phase1Rate(options_, local_sum_, local_updates_,
+                        VarianceScale(options_, local_sum_sq_, local_updates_));
+    }
+    return Phase1Rate(options_, global_estimate_,
+                      global_time_ + updates_since_state_, rate_scale_,
+                      &walk_cache_);
+  }
+
+  /// A single-site report carries the exact totals and needs no reply; an
+  /// SBC head asks the coordinator for a full sync.
+  void Report() {
+    if (num_sites_ > 1) {
+      SendSyncRequest();
+    } else {
+      SendSnapshot(kExactReport);
+    }
   }
 
   int site_id_;
@@ -436,17 +378,23 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
   common::Rng rng_;
   common::GeometricSkip skip_;
   common::BatchRng batch_rng_{0};  // reseeded + attached in skip mode only
-  // Hoisted ConsumeSingleSite gate — constant for the life of the site
-  // (see the comment there for why these modes are excluded).
-  const bool fast_forward_ =
-      skip_.mode() == common::SamplerMode::kGeometricSkip &&
-      options_.fbm_delta == 0.0 && !options_.variance_adaptive;
+  // Sites that run ConsumeThinned at dom = 1, span 1. Besides the per-coin
+  // reference sampler, that is every single site whose chunk bound fails:
+  // it needs |local_sum_| to move by at most 1 per update and the rate law
+  // to be monotone in |s| at fixed epsilon, which rules out unbounded fBm
+  // increments and the per-update rescaling of variance_adaptive
+  // (kStraightOnly reports every update anyway).
+  const bool per_coin_ =
+      options_.sampler == common::SamplerMode::kPerCoin ||
+      (num_sites_ == 1 &&
+       (options_.fbm_delta != 0.0 || options_.variance_adaptive ||
+        options_.stage_policy == StagePolicy::kStraightOnly));
   RateCache walk_cache_;
 
-  // Fast-forward state: the dominating rates the cached gap was drawn at.
-  double chunk_dom_ = 0.0;    // single-site chunk (valid while chunk_left_ > 0)
-  int64_t chunk_left_ = 0;    // updates left in the single-site chunk
-  double sbc_dom_ = 0.0;      // SBC dominating rate (valid while gap cached)
+  // Domination span (see ConsumeThinned): the rate the cached gap was
+  // drawn at, and the updates it still holds for.
+  double dom_ = 0.0;
+  int64_t span_left_ = 0;
 
   int64_t local_updates_ = 0;
   double local_sum_ = 0.0;

@@ -117,14 +117,12 @@ struct CounterOptions {
   /// oversamples all the way to Theta(n). No effect on ±1 streams.
   bool variance_adaptive = false;
 
-  /// How the per-update Bernoulli trials are realized. kGeometricSkip
-  /// (default) draws geometric inter-report gaps at a dominating rate and
-  /// thins candidates, so silent runs are consumed in O(1) coin draws —
-  /// the sampled trajectory has exactly the per-coin distribution, but a
-  /// different RNG consumption pattern. kLegacyCoins flips one Bernoulli
-  /// coin per update in stream order and is bit-identical to the
-  /// pre-skip-sampler implementation (golden transcripts, seed-pinned
-  /// regression tests).
+  /// Test reference only. kGeometricSkip (the default, and the only
+  /// production sampler) draws geometric inter-report gaps at a dominating
+  /// rate and thins candidates, so silent runs cost O(1) coin draws.
+  /// kPerCoin runs the same loop with every update a candidate, one
+  /// Bernoulli coin each: the per-coin distribution the skip sampler must
+  /// reproduce, which the equivalence tests compare against.
   common::SamplerMode sampler = common::SamplerMode::kGeometricSkip;
 
   /// Carried state for restarts (used by HorizonFreeCounter): the counter

@@ -28,13 +28,12 @@ class HyzProtocol::Site : public sim::SiteNode {
         mode_(mode),
         network_(network),
         rng_(rng),
-        skip_(sampler) {
-    if (mode_ == HyzMode::kSampled &&
-        sampler == common::SamplerMode::kGeometricSkip) {
+        per_coin_(sampler == common::SamplerMode::kPerCoin) {
+    if (mode_ == HyzMode::kSampled && !per_coin_) {
       // Bulk gap feed: the round rate is frozen between broadcasts, so
       // consecutive draws share a rate and amortize one log1p over a
-      // block. Seeding consumes one u64 from rng_; skip-mode transcripts
-      // may differ per-seed, legacy mode never takes this branch.
+      // block. Seeding consumes one u64 from rng_; the per-coin reference
+      // draws no gaps and skips it.
       batch_rng_ = common::BatchRng(rng_.NextU64());
       skip_.AttachBatchRng(&batch_rng_);
     }
@@ -65,7 +64,7 @@ class HyzProtocol::Site : public sim::SiteNode {
       Report();
       return to_report;
     }
-    if (skip_.mode() == common::SamplerMode::kLegacyCoins) {
+    if (per_coin_) {
       int64_t consumed = 0;
       while (consumed < count) {
         ++round_count_;
@@ -141,6 +140,7 @@ class HyzProtocol::Site : public sim::SiteNode {
   HyzMode mode_;
   sim::Network* network_;
   common::Rng rng_;
+  bool per_coin_;  // one Bernoulli coin per increment (test reference)
   common::GeometricSkip skip_;
   common::BatchRng batch_rng_{0};  // reseeded + attached in skip mode only
   double rate_ = 1.0;

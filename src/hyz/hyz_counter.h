@@ -38,12 +38,12 @@ struct HyzOptions {
   double delta = 1e-6;
   /// Multiplier on the theoretical sampling rate (tuning constant).
   double rate_constant = 1.0;
-  /// How kSampled realizes its per-increment Bernoulli trials. The rate
-  /// is frozen between round broadcasts, so kGeometricSkip (default)
-  /// consumes a whole inter-report run per gap draw — same distribution,
-  /// different RNG consumption pattern. kLegacyCoins is bit-identical to
-  /// the pre-skip-sampler implementation (one coin per increment).
-  /// kDeterministic mode needs no coins and fast-forwards either way.
+  /// Test reference only. kGeometricSkip (the default, and the only
+  /// production sampler) consumes a whole inter-report run per gap draw:
+  /// the kSampled rate is frozen between round broadcasts. kPerCoin flips
+  /// one Bernoulli coin per increment — the per-coin distribution the
+  /// equivalence tests compare the skip sampler against. kDeterministic
+  /// needs no coins and fast-forwards either way.
   common::SamplerMode sampler = common::SamplerMode::kGeometricSkip;
 
   /// Offset added to the tracked count: Estimate() returns

@@ -323,6 +323,17 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     progressed_this_round = true;
     switch (static_cast<FrameType>(m.type)) {
       case FrameType::kUpdate: {
+        const int64_t shard_len =
+            static_cast<int64_t>(shards[static_cast<size_t>(s)].size());
+        if (!wire::ValidUpdate(m, shard_len)) {
+          // An untrustworthy site: stop reading it. Its later frames are
+          // never decoded, and the updates it owes count as lost.
+          ++stats.rejected_updates;
+          (void)ReapSiteProcess(&st.proc, true);
+          ++stats.children_reaped;
+          st.dead = true;
+          return;
+        }
         const int64_t arrival = st.arrival_updates++;
         if (options.faults.loss > 0.0 &&
             FaultUniform(options.faults.seed, static_cast<uint64_t>(s),

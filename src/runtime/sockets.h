@@ -86,6 +86,10 @@ struct SocketStats {
   /// kUpdate frames discarded as already-consumed duplicates — the
   /// retransmission overlap a go-back-N rewind necessarily resends.
   int64_t duplicate_updates = 0;
+  /// kUpdate frames that failed wire::ValidUpdate (sequence number outside
+  /// the site's shard, or a value that is not a finite update in [-1, 1]).
+  /// Each one ends that site's stream before it reaches the protocol.
+  int64_t rejected_updates = 0;
   int64_t kills_delivered = 0;
   int64_t respawns = 0;
   /// Worst observed kill->first-resumed-update distance, in coordinator

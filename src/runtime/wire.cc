@@ -1,5 +1,6 @@
 #include "runtime/wire.h"
 
+#include <cmath>
 #include <cstring>
 
 namespace nmc::runtime::wire {
@@ -18,6 +19,11 @@ const char* DecodeStatusName(DecodeStatus status) {
       return "bad-length";
   }
   return "unknown";
+}
+
+bool ValidUpdate(const sim::Message& update, int64_t shard_len) {
+  // NaN fails the bound like an infinity: every comparison is false.
+  return update.u >= 0 && update.u < shard_len && std::fabs(update.a) <= 1.0;
 }
 
 void EncodeFrame(const sim::Message& message, uint8_t* out) {

@@ -59,6 +59,14 @@ struct Decoded {
 /// reported as kBadVersion even when truncated past the header.
 Decoded DecodeFrame(std::span<const uint8_t> bytes);
 
+/// Trust-boundary check of a decoded update frame before the coordinator
+/// feeds it to the protocol: the sequence number (u) must index the
+/// sending site's shard, [0, shard_len), and the value (a) must be a
+/// finite update in [-1, 1] — the bounded-update model the counter
+/// enforces with an aborting check. Framing cannot catch either: a
+/// well-formed frame may still carry them.
+bool ValidUpdate(const sim::Message& update, int64_t shard_len);
+
 /// Incremental frame decoder over a byte stream (a socket read loop feeds
 /// arbitrary chunk boundaries; frames come out whole). A framing error is
 /// sticky: once the stream is desynchronized there is no reliable way to

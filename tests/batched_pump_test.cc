@@ -62,7 +62,7 @@ TEST(BatchedPumpTest, CounterBitIdenticalAcrossBatchSizes) {
   const int64_t n = 1 << 13;
   for (int num_sites : {1, 4}) {
     for (const auto sampler :
-         {common::SamplerMode::kGeometricSkip, common::SamplerMode::kLegacyCoins}) {
+         {common::SamplerMode::kGeometricSkip, common::SamplerMode::kPerCoin}) {
       core::CounterOptions options = testing::DefaultOptions(n, 0.2, 404);
       options.sampler = sampler;
       const auto stream = streams::BernoulliStream(n, 0.5, 91);
@@ -105,32 +105,28 @@ TEST(BatchedPumpTest, CounterBitIdenticalAcrossSimdLevels) {
   // The vector kernels are bit-identical to the scalar oracle, so a full
   // tracking run — stream generation, sampler feed, pump fast paths — must
   // produce identical TrackingResults whichever level dispatch picks, in
-  // both sampler modes and both stream generation modes.
+  // both sampler modes.
   const int64_t n = 1 << 13;
-  for (const auto sampler : {common::SamplerMode::kGeometricSkip,
-                             common::SamplerMode::kLegacyCoins}) {
-    for (const auto gen_mode :
-         {streams::GenMode::kBatch, streams::GenMode::kLegacyScalar}) {
-      core::CounterOptions options = testing::DefaultOptions(n, 0.2, 909);
-      options.sampler = sampler;
-      ASSERT_TRUE(common::ForceSimdLevel(common::SimdLevel::kScalar));
-      const auto stream = streams::BernoulliStream(n, 0.5, 92, gen_mode);
-      const auto reference = RunCounterBatched(stream, 4, options, 64);
+  for (const auto sampler :
+       {common::SamplerMode::kGeometricSkip, common::SamplerMode::kPerCoin}) {
+    core::CounterOptions options = testing::DefaultOptions(n, 0.2, 909);
+    options.sampler = sampler;
+    ASSERT_TRUE(common::ForceSimdLevel(common::SimdLevel::kScalar));
+    const auto stream = streams::BernoulliStream(n, 0.5, 92);
+    const auto reference = RunCounterBatched(stream, 4, options, 64);
+    common::ResetSimdLevel();
+    for (const auto level :
+         {common::SimdLevel::kAvx2, common::SimdLevel::kNeon}) {
+      if (!common::SimdLevelAvailable(level)) continue;
+      SCOPED_TRACE(::testing::Message()
+                   << "level=" << common::SimdLevelName(level)
+                   << " sampler=" << static_cast<int>(sampler));
+      ASSERT_TRUE(common::ForceSimdLevel(level));
+      const auto vec_stream = streams::BernoulliStream(n, 0.5, 92);
+      EXPECT_EQ(vec_stream, stream);  // generator itself is level-blind
+      ExpectSameResult(reference,
+                       RunCounterBatched(vec_stream, 4, options, 64));
       common::ResetSimdLevel();
-      for (const auto level :
-           {common::SimdLevel::kAvx2, common::SimdLevel::kNeon}) {
-        if (!common::SimdLevelAvailable(level)) continue;
-        SCOPED_TRACE(::testing::Message()
-                     << "level=" << common::SimdLevelName(level)
-                     << " sampler=" << static_cast<int>(sampler)
-                     << " gen_mode=" << static_cast<int>(gen_mode));
-        ASSERT_TRUE(common::ForceSimdLevel(level));
-        const auto vec_stream = streams::BernoulliStream(n, 0.5, 92, gen_mode);
-        EXPECT_EQ(vec_stream, stream);  // generator itself is level-blind
-        ExpectSameResult(reference,
-                         RunCounterBatched(vec_stream, 4, options, 64));
-        common::ResetSimdLevel();
-      }
     }
   }
 }
@@ -142,7 +138,7 @@ TEST(BatchedPumpTest, HyzBitIdenticalAcrossBatchSizes) {
   const std::vector<double> stream(static_cast<size_t>(n), 1.0);
   for (const auto mode : {hyz::HyzMode::kSampled, hyz::HyzMode::kDeterministic}) {
     for (const auto sampler :
-         {common::SamplerMode::kGeometricSkip, common::SamplerMode::kLegacyCoins}) {
+         {common::SamplerMode::kGeometricSkip, common::SamplerMode::kPerCoin}) {
       hyz::HyzOptions options;
       options.mode = mode;
       options.epsilon = 0.1;

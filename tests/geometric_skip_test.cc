@@ -16,25 +16,7 @@ namespace {
 /// statistical flake is then fixed by varying one literal at the call.
 common::Rng MakeRng(uint64_t seed) { return common::Rng(seed); }
 
-// ---- Legacy mode: bit-exact coin replay ----------------------------------
-
-TEST(GeometricSkipTest, LegacyStepMatchesBernoulliBitwise) {
-  GeometricSkip skip(SamplerMode::kLegacyCoins);
-  common::Rng rng_skip = MakeRng(123);
-  common::Rng rng_ref = MakeRng(123);
-  // Varying rates, including the no-draw clamps, must consume the RNG
-  // identically to a direct Bernoulli sequence.
-  const double rates[] = {0.3, 0.0, 1.0, 0.99, 0.01, 0.5, 1.5, -0.5};
-  for (int i = 0; i < 4000; ++i) {
-    const double rate = rates[i % 8];
-    EXPECT_EQ(skip.Step(&rng_skip, rate), rng_ref.Bernoulli(rate));
-  }
-  // Same RNG position afterwards: the replay consumed exactly the same
-  // draws.
-  EXPECT_EQ(rng_skip.NextU64(), rng_ref.NextU64());
-}
-
-// ---- Skip mode: distribution ---------------------------------------------
+// ---- Gap distribution ---------------------------------------------------
 
 // One-sample chi-square of DrawGap against the Geometric(p) pmf
 // P[gap = g] = (1-p)^g * p. Fixed seed, so this is deterministic — the
@@ -115,7 +97,7 @@ TEST(GeometricSkipTest, TinyRateClampsInsteadOfOverflowing) {
 TEST(GeometricSkipTest, EnsureGapMemoMatchesDrawGapBitwise) {
   // EnsureGap memoizes log1p(-rate) across draws; the values must still
   // be bit-identical to the un-memoized DrawGap at every rate change.
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
+  GeometricSkip skip;
   common::Rng rng_a = MakeRng(31);
   common::Rng rng_b = MakeRng(31);
   const double rates[] = {0.25, 0.25, 0.03, 0.25, 0.9, 0.03};
@@ -143,19 +125,6 @@ TEST(GeometricSkipTest, AdvanceAndTakeCandidateWalkTheGap) {
     skip.TakeCandidate();
     EXPECT_FALSE(skip.valid());
   }
-}
-
-TEST(GeometricSkipTest, StepSkipModeHeadFrequency) {
-  GeometricSkip skip;
-  common::Rng rng = MakeRng(17);
-  const double p = 0.05;
-  const int kSteps = 200000;
-  int heads = 0;
-  for (int i = 0; i < kSteps; ++i) {
-    if (skip.Step(&rng, p)) ++heads;
-  }
-  // Binomial(200000, 0.05): mean 10000, stddev ~ 97.
-  EXPECT_NEAR(static_cast<double>(heads), p * kSteps, 500.0);
 }
 
 // ---- RNG-stream independence between sites -------------------------------
@@ -205,7 +174,7 @@ TEST(GeometricSkipTest, FeedGapHistogramMatchesGeometricPmf) {
   const double p = 0.2;
   const int kDraws = 200000;
   const int kBins = 16;
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
+  GeometricSkip skip;
   BatchRng batch(2024);
   skip.AttachBatchRng(&batch);
   common::Rng unused = MakeRng(1);  // feed-backed EnsureGap never touches it
@@ -239,7 +208,7 @@ TEST(GeometricSkipTest, FeedRateLadderCostsOneDrawPerFreshRate) {
   // block), and only the second consecutive same-rate request may buy a
   // block. Verified through the BatchRng stream position: a ladder of n
   // distinct rates consumes exactly n elements.
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
+  GeometricSkip skip;
   BatchRng batch(7);
   BatchRng shadow(7);  // tracks the expected stream position
   skip.AttachBatchRng(&batch);
@@ -260,7 +229,7 @@ TEST(GeometricSkipTest, FeedBlockRefillServesRepeatRateFromBlock) {
   // further stream traffic. The shadow generator replays the same fills,
   // so matching stream positions prove both the schedule and the served
   // values' provenance.
-  GeometricSkip skip(SamplerMode::kGeometricSkip);
+  GeometricSkip skip;
   BatchRng batch(13);
   BatchRng shadow(13);
   skip.AttachBatchRng(&batch);
@@ -287,23 +256,6 @@ TEST(GeometricSkipTest, FeedBlockRefillServesRepeatRateFromBlock) {
                     GeometricSkip::kFeedBlockGaps);
   }
   EXPECT_EQ(batch.NextU64(), shadow.NextU64());
-}
-
-TEST(GeometricSkipTest, LegacyModeIgnoresAttachedFeed) {
-  // kLegacyCoins keeps the bit-exact per-coin replay even with a feed
-  // attached (sites attach unconditionally on construction in skip mode;
-  // the mode decides).
-  GeometricSkip skip(SamplerMode::kLegacyCoins);
-  BatchRng batch(5);
-  skip.AttachBatchRng(&batch);
-  common::Rng rng_skip = MakeRng(123);
-  common::Rng rng_ref = MakeRng(123);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(skip.Step(&rng_skip, 0.3), rng_ref.Bernoulli(0.3));
-  }
-  EXPECT_EQ(rng_skip.NextU64(), rng_ref.NextU64());
-  BatchRng untouched(5);
-  EXPECT_EQ(batch.NextU64(), untouched.NextU64());
 }
 
 }  // namespace

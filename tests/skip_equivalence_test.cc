@@ -78,15 +78,15 @@ GapSample CollectHyzGaps(common::SamplerMode sampler, uint64_t seed_base) {
 }
 
 TEST(SkipEquivalenceTest, HyzFrozenRateGapHistogramsAgree) {
-  const GapSample legacy = CollectHyzGaps(common::SamplerMode::kLegacyCoins, 900);
+  const GapSample per_coin = CollectHyzGaps(common::SamplerMode::kPerCoin, 900);
   const GapSample skip = CollectHyzGaps(common::SamplerMode::kGeometricSkip, 900);
-  ASSERT_EQ(legacy.rate, skip.rate);  // same options => same frozen rate
-  ASSERT_GT(legacy.gaps.size(), 1000u);
+  ASSERT_EQ(per_coin.rate, skip.rate);  // same options => same frozen rate
+  ASSERT_GT(per_coin.gaps.size(), 1000u);
   ASSERT_GT(skip.gaps.size(), 1000u);
 
   // Bin edges at fractions of the geometric mean 1/rate; the tail bin
   // (>= 3 means) still expects ~5% of the mass.
-  const double mean = 1.0 / legacy.rate;
+  const double mean = 1.0 / per_coin.rate;
   const double edges[] = {0.125 * mean, 0.25 * mean, 0.5 * mean, 0.75 * mean,
                           mean,         1.5 * mean,  2.0 * mean, 3.0 * mean};
   const int kBins = 9;
@@ -99,9 +99,9 @@ TEST(SkipEquivalenceTest, HyzFrozenRateGapHistogramsAgree) {
     }
     return counts;
   };
-  const auto a = histogram(legacy.gaps);
+  const auto a = histogram(per_coin.gaps);
   const auto b = histogram(skip.gaps);
-  const double na = static_cast<double>(legacy.gaps.size());
+  const double na = static_cast<double>(per_coin.gaps.size());
   const double nb = static_cast<double>(skip.gaps.size());
   const double k_ab = std::sqrt(nb / na);
   double chi2 = 0.0;
@@ -122,7 +122,7 @@ TEST(SkipEquivalenceTest, HyzFrozenRateGapHistogramsAgree) {
     for (const int64_t gap : gaps) sum += static_cast<double>(gap);
     return sum / static_cast<double>(gaps.size());
   };
-  const double ma = mean_of(legacy.gaps);
+  const double ma = mean_of(per_coin.gaps);
   const double mb = mean_of(skip.gaps);
   // stderr of a geometric mean ~ mean/sqrt(n) ~ 546/sqrt(2000) ~ 12.
   EXPECT_NEAR(ma, mb, 4.0 * mean / std::sqrt(std::min(na, nb)));
@@ -156,10 +156,10 @@ TEST(SkipEquivalenceTest, DeterministicHyzTranscriptIdenticalAcrossSamplers) {
     }
     return transcript;
   };
-  const auto legacy = run(common::SamplerMode::kLegacyCoins);
+  const auto per_coin = run(common::SamplerMode::kPerCoin);
   const auto skip = run(common::SamplerMode::kGeometricSkip);
-  ASSERT_FALSE(legacy.empty());
-  EXPECT_EQ(legacy, skip);
+  ASSERT_FALSE(per_coin.empty());
+  EXPECT_EQ(per_coin, skip);
 }
 
 // ---- (3) Pooled message counts on bench-style configurations --------------
@@ -186,7 +186,7 @@ void ExpectWithinBand(const Pooled& a, const Pooled& b) {
                                       b.stderr_mean * b.stderr_mean);
   const double slack = 0.02 * std::max(a.mean, b.mean);
   EXPECT_NEAR(a.mean, b.mean, std::max(band, slack))
-      << "legacy mean " << a.mean << " +- " << a.stderr_mean << ", skip mean "
+      << "per-coin mean " << a.mean << " +- " << a.stderr_mean << ", skip mean "
       << b.mean << " +- " << b.stderr_mean;
 }
 
@@ -218,22 +218,36 @@ TEST(SkipEquivalenceTest, MultisiteDriftMessageMeansAgree) {
     return streams::BernoulliStream(1 << 14, 0.5,
                                     200 + static_cast<uint64_t>(trial));
   };
-  const auto legacy =
-      RunCounterTrials(common::SamplerMode::kLegacyCoins, 8, 0.2, stream, 12);
+  const auto per_coin =
+      RunCounterTrials(common::SamplerMode::kPerCoin, 8, 0.2, stream, 12);
   const auto skip =
       RunCounterTrials(common::SamplerMode::kGeometricSkip, 8, 0.2, stream, 12);
-  ExpectWithinBand(legacy, skip);
+  ExpectWithinBand(per_coin, skip);
+}
+
+TEST(SkipEquivalenceTest, SingleSiteDriftMessageMeansAgree) {
+  // k = 1 long-gap regime: chunked domination against the site's own
+  // exact count, thinned at every candidate.
+  const auto stream = [](int trial) {
+    return streams::BernoulliStream(1 << 14, 0.75,
+                                    300 + static_cast<uint64_t>(trial));
+  };
+  const auto per_coin =
+      RunCounterTrials(common::SamplerMode::kPerCoin, 1, 0.2, stream, 12);
+  const auto skip =
+      RunCounterTrials(common::SamplerMode::kGeometricSkip, 1, 0.2, stream, 12);
+  ExpectWithinBand(per_coin, skip);
 }
 
 TEST(SkipEquivalenceTest, AdversarialSawtoothMessageMeansAgree) {
   // E8-style: deterministic zero-crossing sawtooth; the only randomness is
   // the protocol's own coins.
   const auto stream = [](int) { return streams::SawtoothStream(1 << 13, 64); };
-  const auto legacy =
-      RunCounterTrials(common::SamplerMode::kLegacyCoins, 4, 0.25, stream, 12);
+  const auto per_coin =
+      RunCounterTrials(common::SamplerMode::kPerCoin, 4, 0.25, stream, 12);
   const auto skip =
       RunCounterTrials(common::SamplerMode::kGeometricSkip, 4, 0.25, stream, 12);
-  ExpectWithinBand(legacy, skip);
+  ExpectWithinBand(per_coin, skip);
 }
 
 TEST(SkipEquivalenceTest, MonotonicHyzMessageMeansAgree) {
@@ -257,7 +271,7 @@ TEST(SkipEquivalenceTest, MonotonicHyzMessageMeansAgree) {
     }
     return Summarize(messages);
   };
-  ExpectWithinBand(run(common::SamplerMode::kLegacyCoins),
+  ExpectWithinBand(run(common::SamplerMode::kPerCoin),
                    run(common::SamplerMode::kGeometricSkip));
 }
 

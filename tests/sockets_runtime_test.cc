@@ -7,6 +7,7 @@
 #include "runtime/sockets.h"
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -87,6 +88,31 @@ TEST(SocketsRuntimeTest, CapturedRunReplaysBitIdenticallyAgainstSimOracle) {
   EXPECT_EQ(report.publishes_checked, result.serving.publishes);
   EXPECT_GT(report.samples_checked, 0);
   EXPECT_EQ(result.serving.generation_regressions, 0);
+}
+
+TEST(SocketsRuntimeTest, MalformedUpdateEndsOnlyThatSitesStream) {
+  // A NaN update frames cleanly; without the ingress check it would reach
+  // the counter's aborting |v| <= 1 check.
+  const int64_t n = 4096;
+  const int k = 4;
+  auto shards = TestShards(n, k, 94);
+  const int64_t bad_seq = 10;
+  shards[1][static_cast<size_t>(bad_seq)] =
+      std::numeric_limits<double>::quiet_NaN();
+  const int64_t owed = static_cast<int64_t>(shards[1].size()) - bad_seq;
+  for (const bool reliable : {false, true}) {
+    SCOPED_TRACE(reliable ? "reliable" : "raw");
+    const auto protocol = MakeCounter(k, n);
+    SocketRunOptions options;
+    options.reliable = reliable;
+    const SocketRunResult result = RunSockets(protocol.get(), shards, options);
+    EXPECT_EQ(result.stats.rejected_updates, 1);
+    EXPECT_EQ(result.serving.updates, n - owed);
+    EXPECT_EQ(result.stats.generated_updates, n - owed);
+    EXPECT_EQ(result.stats.unexpected_exits, 0);
+    EXPECT_EQ(result.stats.children_reaped, k);
+    EXPECT_FALSE(result.stats.timed_out);
+  }
 }
 
 TEST(SocketsRuntimeTest, RawLinkUnderLossViolatesAndLosesUpdates) {

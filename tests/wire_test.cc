@@ -189,5 +189,57 @@ TEST(WireTest, DecodeStatusNamesAreStable) {
   EXPECT_STREQ(DecodeStatusName(DecodeStatus::kBadLength), "bad-length");
 }
 
+TEST(WireTest, ValidUpdateBoundsSequenceNumber) {
+  sim::Message m;
+  m.a = 1.0;
+  const int64_t shard_len = 5;
+  for (const int64_t seq : {int64_t{0}, int64_t{4}}) {
+    m.u = seq;
+    EXPECT_TRUE(ValidUpdate(m, shard_len)) << seq;
+  }
+  for (const int64_t seq : {int64_t{-1}, int64_t{5}, int64_t{6},
+                            std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max()}) {
+    m.u = seq;
+    EXPECT_FALSE(ValidUpdate(m, shard_len)) << seq;
+  }
+  m.u = 0;
+  EXPECT_FALSE(ValidUpdate(m, 0));  // an empty shard owes no updates
+}
+
+TEST(WireTest, ValidUpdateBoundsValue) {
+  sim::Message m;
+  m.u = 0;
+  for (const double v : {-1.0, -0.25, 0.0, 0.5, 1.0}) {
+    m.a = v;
+    EXPECT_TRUE(ValidUpdate(m, 1)) << v;
+  }
+  for (const double v : {std::nextafter(1.0, 2.0), -1.5,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    m.a = v;
+    EXPECT_FALSE(ValidUpdate(m, 1)) << v;
+  }
+}
+
+TEST(WireTest, ValidUpdateSurvivesTheWire) {
+  // The check runs on what the decoder hands back: a NaN payload or an
+  // out-of-range sequence number frames cleanly and is caught only here.
+  sim::Message m;
+  m.type = 2;
+  m.u = 7;
+  m.a = std::numeric_limits<double>::quiet_NaN();
+  uint8_t frame[kFrameBytes];
+  EncodeFrame(m, frame);
+  const Decoded decoded = DecodeFrame(frame);
+  ASSERT_EQ(decoded.status, DecodeStatus::kOk);
+  EXPECT_FALSE(ValidUpdate(decoded.message, 7));
+  EXPECT_FALSE(ValidUpdate(decoded.message, 8));
+  m.a = -1.0;
+  EncodeFrame(m, frame);
+  EXPECT_TRUE(ValidUpdate(DecodeFrame(frame).message, 8));
+}
+
 }  // namespace
 }  // namespace nmc::runtime::wire
