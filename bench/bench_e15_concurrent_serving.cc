@@ -93,10 +93,9 @@ nmc::sim::ProtocolParams Params(const E15Options& options) {
   return params;
 }
 
-std::unique_ptr<nmc::sim::Protocol> FreshProtocol(const E15Options& options,
-                                                  TransportKind kind) {
-  return nmc::runtime::CreateForTransport(kind, options.protocol,
-                                          options.sites, Params(options));
+std::unique_ptr<nmc::sim::Protocol> FreshProtocol(const E15Options& options) {
+  return nmc::sim::ProtocolRegistry::Global().Create(
+      options.protocol, options.sites, Params(options));
 }
 
 double Seconds(std::chrono::steady_clock::time_point start) {
@@ -112,8 +111,7 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 /// threaded backend's update throughput is judged against.
 double SimPumpUpdatesPerSec(const E15Options& options,
                             const std::vector<std::vector<double>>& shards) {
-  const std::unique_ptr<nmc::sim::Protocol> protocol =
-      FreshProtocol(options, TransportKind::kSim);
+  const std::unique_ptr<nmc::sim::Protocol> protocol = FreshProtocol(options);
   constexpr size_t kVisit = 256;
   std::vector<size_t> pos(shards.size(), 0);
   int64_t total = 0;
@@ -156,8 +154,7 @@ struct ServingPoint {
 ServingPoint RunServingPoint(const E15Options& options,
                              const std::vector<std::vector<double>>& shards,
                              int readers, TransportKind kind) {
-  const std::unique_ptr<nmc::sim::Protocol> protocol =
-      FreshProtocol(options, kind);
+  const std::unique_ptr<nmc::sim::Protocol> protocol = FreshProtocol(options);
   nmc::runtime::RunConfig config;
   config.protocol = protocol.get();
   config.shards = shards;
@@ -192,8 +189,7 @@ bool VerifyLinearizable(const E15Options& options, TransportKind kind) {
   const std::vector<std::vector<double>> shards =
       nmc::runtime::ShardRoundRobin(stream, small.sites);
 
-  const std::unique_ptr<nmc::sim::Protocol> protocol =
-      FreshProtocol(small, kind);
+  const std::unique_ptr<nmc::sim::Protocol> protocol = FreshProtocol(small);
   nmc::runtime::RunConfig config;
   config.protocol = protocol.get();
   config.shards = shards;
@@ -205,8 +201,7 @@ bool VerifyLinearizable(const E15Options& options, TransportKind kind) {
   const nmc::runtime::RunResult result =
       nmc::runtime::RunWithTransport(kind, config);
 
-  const std::unique_ptr<nmc::sim::Protocol> oracle =
-      FreshProtocol(small, TransportKind::kSim);
+  const std::unique_ptr<nmc::sim::Protocol> oracle = FreshProtocol(small);
   const nmc::runtime::LinearizabilityReport report =
       nmc::runtime::CheckLinearizable(result, oracle.get());
   if (!report.linearizable) {
@@ -228,8 +223,7 @@ int main(int argc, char** argv) {
   nmc::bench::InitBenchRest(argc, argv, "bench_e15_concurrent_serving", &rest);
   const E15Options options = ParseOwnFlags(rest);
   nmc::registry::RegisterBuiltinProtocols();
-  if (!nmc::runtime::TransportSupports(TransportKind::kSim,
-                                       options.protocol)) {
+  if (!nmc::sim::ProtocolRegistry::Global().Contains(options.protocol)) {
     UsageError("unknown protocol '" + options.protocol + "'");
   }
 
@@ -255,10 +249,6 @@ int main(int argc, char** argv) {
   if (kind == TransportKind::kSim) {
     std::printf("(--transport=sim: skipping the concurrent sweep)\n");
     return nmc::bench::FinishBench();
-  }
-  if (!nmc::runtime::TransportSupports(kind, options.protocol)) {
-    UsageError("protocol '" + options.protocol +
-               "' is quarantined to --transport=sim (thread_safe trait)");
   }
   const char* kind_name = nmc::runtime::TransportKindName(kind);
 

@@ -36,8 +36,6 @@ struct HyzOptions {
   /// Failure probability target; the sampling rate scales with
   /// sqrt(log(2/delta)).
   double delta = 1e-6;
-  /// Multiplier on the theoretical sampling rate (tuning constant).
-  double rate_constant = 1.0;
   /// Test reference only. kGeometricSkip (the default, and the only
   /// production sampler) consumes a whole inter-report run per gap draw:
   /// the kSampled rate is frozen between round broadcasts. kPerCoin flips

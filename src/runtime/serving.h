@@ -33,6 +33,10 @@ struct ReaderStats {
 /// the coordinator's publish cadence instead of aliasing it.
 inline constexpr int64_t kSampleStride = 17;
 
+/// Per-reader retained snapshot count (ring-replaced, so the tail of the
+/// run stays covered).
+inline constexpr int64_t kReaderSampleCapacity = 256;
+
 /// Yield cadence for the spin paths. On an oversubscribed machine (more
 /// threads than cores — CI runners, the 1-core container this repo grows
 /// in) an unyielding spin loop starves the very thread it waits on.
@@ -40,10 +44,8 @@ inline constexpr int64_t kReaderYieldEvery = 256;
 
 inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
                        const common::RuntimeAtomic<bool>& run_done,
-                       int64_t sample_capacity, ReaderStats* stats) {
-  if (sample_capacity > 0) {
-    stats->samples.resize(static_cast<size_t>(sample_capacity));
-  }
+                       ReaderStats* stats) {
+  stats->samples.resize(static_cast<size_t>(kReaderSampleCapacity));
   int64_t last_generation = 0;
   while (!run_done.load(std::memory_order_acquire)) {
     PublishedEstimate snapshot;
@@ -58,8 +60,9 @@ inline void ReaderLoop(const common::Seqlock<PublishedEstimate>& slot,
     } else {
       last_generation = snapshot.generation;
     }
-    if (sample_capacity > 0 && stats->reads % kSampleStride == 0) {
-      stats->samples[static_cast<size_t>(stats->sampled % sample_capacity)] =
+    if (stats->reads % kSampleStride == 0) {
+      stats->samples[static_cast<size_t>(stats->sampled %
+                                         kReaderSampleCapacity)] =
           ReadSample{snapshot.generation, snapshot.estimate};
       ++stats->sampled;
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <future>
 #include <memory>
 
@@ -16,11 +15,22 @@
 #include "common/thread_pool.h"
 #include "runtime/serving.h"
 #include "runtime/wire.h"
+#include "sim/harness.h"
 #include "sim/protocol.h"
 
 namespace nmc::runtime {
 
 namespace {
+
+/// Poll rounds a head-of-line stall (SocketFaultOptions::delay_probability)
+/// keeps a site's socket unread.
+constexpr int64_t kDelayPolls = 8;
+
+/// Safety stop: consecutive poll rounds with no frame consumed before the
+/// coordinator declares the run wedged, SIGKILLs everything and returns
+/// with SocketStats::timed_out set (a hung CI job is worse than a failed
+/// one). Each idle round blocks ~1ms in poll.
+constexpr int64_t kMaxIdlePolls = 20000;
 
 /// Deterministic fault stream: splitmix64-style finalizer over (seed,
 /// site, index) mapped to [0, 1). The same fault plan replays the same
@@ -202,9 +212,8 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     joins.reserve(static_cast<size_t>(options.num_readers));
     for (int r = 0; r < options.num_readers; ++r) {
       internal::ReaderStats* rs = &reader_stats[static_cast<size_t>(r)];
-      joins.push_back(pool->Submit([&slot, &run_done, &options, rs]() {
-        internal::ReaderLoop(slot, run_done, options.reader_sample_capacity,
-                             rs);
+      joins.push_back(pool->Submit([&slot, &run_done, rs]() {
+        internal::ReaderLoop(slot, run_done, rs);
       }));
     }
   }
@@ -283,16 +292,10 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     if (options.capture) {
       result.transcript.push_back(TranscriptEntry{s, value});
     }
-    const double abs_error = std::fabs(estimate - world_sum);
-    const double abs_sum = std::fabs(world_sum);
-    if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-      ++stats.violation_steps;
-    }
+    sim::CheckTrackingStep(estimate, world_sum, options.epsilon,
+                           options.rel_error_floor, &stats.violation_steps,
+                           &stats.max_rel_error);
     ++stats.checked_steps;
-    if (abs_sum >= options.rel_error_floor) {
-      stats.max_rel_error =
-          std::max(stats.max_rel_error, abs_error / abs_sum);
-    }
     if (st.awaiting_recovery) {
       st.awaiting_recovery = false;
       const int64_t recovery = consumed_total - st.consumed_at_kill;
@@ -448,7 +451,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
                        static_cast<uint64_t>(s),
                        static_cast<uint64_t>(stats.poll_rounds)) <
               options.faults.delay_probability) {
-        st.stall_rounds = options.faults.delay_polls;
+        st.stall_rounds = kDelayPolls;
         ++stats.delays_injected;
         continue;
       }
@@ -546,7 +549,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
     if (progressed_this_round) {
       idle_rounds = 0;
-    } else if (++idle_rounds > options.max_idle_polls) {
+    } else if (++idle_rounds > kMaxIdlePolls) {
       stats.timed_out = true;
       break;
     }

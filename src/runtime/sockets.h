@@ -29,11 +29,10 @@ struct SocketFaultOptions {
   /// are never dropped — loss models a flaky data path, not a broken link.
   double loss = 0.0;
   /// Probability (per site per poll round) of a head-of-line stall: the
-  /// coordinator stops reading that site's socket for `delay_polls`
+  /// coordinator stops reading that site's socket for a fixed number of
   /// rounds, so frames back up in the kernel buffer and arrive late but
   /// in order — the socket-level shape of a delay channel.
   double delay_probability = 0.0;
-  int64_t delay_polls = 8;
   /// Seed of the deterministic fault stream. Drops hash (seed, site,
   /// arrival index); the same plan replays the same faults.
   uint64_t seed = 1;
@@ -45,7 +44,6 @@ struct SocketRunOptions {
   /// the seqlock-published estimate while the run progresses.
   int num_readers = 0;
   bool capture = false;
-  int64_t reader_sample_capacity = 256;
   /// Coordinator->site kEcho cadence in consumed updates; 0 = off.
   int64_t echo_period = 1024;
   /// Sites connect over TCP to a loopback listener instead of inheriting
@@ -62,16 +60,10 @@ struct SocketRunOptions {
   /// SocketStats::violation_steps). Matches sim::TrackingOptions.
   double epsilon = 0.1;
   double rel_error_floor = 1.0;
-  double absolute_slack = 1e-9;
   /// A respawned site must deliver its first resumed update within this
   /// many coordinator-consumed updates (across all sites) of the kill;
   /// otherwise the run reports all_kills_recovered = false.
   int64_t resync_deadline_updates = 1 << 20;
-  /// Safety stop: consecutive poll rounds with no frame consumed before
-  /// the coordinator declares the run wedged, SIGKILLs everything and
-  /// returns with timed_out set (a hung CI job is worse than a failed
-  /// one). Each idle round blocks ~1ms in poll.
-  int64_t max_idle_polls = 20000;
 };
 
 /// Link- and fault-level counters of one sockets run. The serving-side

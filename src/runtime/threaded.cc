@@ -13,7 +13,7 @@
 #include "common/spsc_queue.h"
 #include "common/thread_pool.h"
 #include "runtime/serving.h"
-#include "sim/registry.h"
+#include "sim/protocol.h"
 
 namespace nmc::runtime {
 
@@ -117,8 +117,8 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   }
   for (int r = 0; r < options.num_readers; ++r) {
     ReaderStats* stats = &reader_stats[static_cast<size_t>(r)];
-    joins.push_back(pool.Submit([&slot, &run_done, &options, stats]() {
-      ReaderLoop(slot, run_done, options.reader_sample_capacity, stats);
+    joins.push_back(pool.Submit([&slot, &run_done, stats]() {
+      ReaderLoop(slot, run_done, stats);
     }));
   }
 
@@ -289,30 +289,6 @@ LinearizabilityReport CheckLinearizable(const ThreadedRunResult& run,
   }
   report.linearizable = true;
   return report;
-}
-
-bool TransportSupports(TransportKind kind, std::string_view name) {
-  const sim::ProtocolTraits* traits =
-      sim::ProtocolRegistry::Global().Traits(name);
-  if (traits == nullptr) return false;
-  // kSockets confines the protocol to the coordinator thread exactly like
-  // kThreads (processes stream, they never touch protocol state), but the
-  // serving layer still runs concurrent readers in-process, so both
-  // concurrent backends require the same trait.
-  return kind == TransportKind::kSim || traits->thread_safe;
-}
-
-std::unique_ptr<sim::Protocol> CreateForTransport(
-    TransportKind kind, std::string_view name, int num_sites,
-    const sim::ProtocolParams& params) {
-  const sim::ProtocolTraits* traits =
-      sim::ProtocolRegistry::Global().Traits(name);
-  if (traits != nullptr && kind != TransportKind::kSim) {
-    // Refuse loudly: silently running a thread-hostile protocol on a
-    // concurrent backend would corrupt results, not just crash.
-    NMC_CHECK(traits->thread_safe);
-  }
-  return sim::ProtocolRegistry::Global().Create(name, num_sites, params);
 }
 
 }  // namespace nmc::runtime

@@ -4,17 +4,14 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "runtime/transport.h"
 
 namespace nmc::sim {
-// Declarations below take these only by pointer/const-ref; pulling in
-// sim/registry.h here would drag the channel/rng chain into every
-// transport user and blow the include-depth budget.
+// Declarations below take this only by pointer, so a forward declaration
+// keeps the sim headers out of every transport user's include chain.
 class Protocol;
-struct ProtocolParams;
 }  // namespace nmc::sim
 
 namespace nmc::runtime {
@@ -58,9 +55,6 @@ struct ThreadedRunOptions {
   /// Record the transcript and the publish log for the linearizability
   /// check. Costs O(n) memory — meant for tests and verification runs.
   bool capture = false;
-  /// Per-reader retained snapshot count (ring-replaced, so the tail of the
-  /// run stays covered); 0 disables sampling.
-  int64_t reader_sample_capacity = 256;
 };
 
 struct ThreadedRunResult {
@@ -138,18 +132,5 @@ struct LinearizabilityReport {
 /// with options.capture.
 LinearizabilityReport CheckLinearizable(const ThreadedRunResult& run,
                                         sim::Protocol* oracle);
-
-/// True when `name` is registered and can run on `kind` (the sim backend
-/// accepts every protocol; the threaded backend requires the registry's
-/// thread_safe trait).
-bool TransportSupports(TransportKind kind, std::string_view name);
-
-/// Builds a registered protocol for the given backend; aborts (like
-/// ProtocolRegistry::Create) on an unknown name, and refuses — with the
-/// trait spelled out — a protocol whose registry traits declare it unfit
-/// for the threaded backend.
-std::unique_ptr<sim::Protocol> CreateForTransport(
-    TransportKind kind, std::string_view name, int num_sites,
-    const sim::ProtocolParams& params);
 
 }  // namespace nmc::runtime

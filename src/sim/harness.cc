@@ -1,7 +1,6 @@
 #include "sim/harness.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/batch_ops.h"
 #include "common/check.h"
@@ -71,15 +70,10 @@ void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
       protocol->ProcessUpdate(site, value);
       state->sum += value;
       state->estimate = protocol->Estimate();
-      const double abs_error = std::fabs(state->estimate - state->sum);
-      const double abs_sum = std::fabs(state->sum);
-      if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-        state->result.violation_steps += 1;
-      }
-      if (abs_sum >= options.rel_error_floor) {
-        state->result.max_rel_error =
-            std::max(state->result.max_rel_error, abs_error / abs_sum);
-      }
+      CheckTrackingStep(state->estimate, state->sum, options.epsilon,
+                        options.rel_error_floor,
+                        &state->result.violation_steps,
+                        &state->result.max_rel_error);
       if (record_curve) {
         const int64_t done = state->t + i + 1;
         if (done % state->curve_stride == 0 || done == state->result.n) {
@@ -122,7 +116,7 @@ void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
                 chunk.subspan(static_cast<size_t>(pos),
                               static_cast<size_t>(consumed - 1)),
                 state->sum, state->estimate, options.epsilon,
-                options.absolute_slack, options.rel_error_floor,
+                kTrackingAbsoluteSlack, options.rel_error_floor,
                 state->result.max_rel_error, &prefix)) {
           state->sum = prefix.final_sum;
           state->result.violation_steps += prefix.violations;
@@ -132,16 +126,10 @@ void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
           // refresh the estimate and check it the scalar way.
           state->sum += chunk[static_cast<size_t>(pos + consumed - 1)];
           state->estimate = protocol->Estimate();
-          const double abs_error = std::fabs(state->estimate - state->sum);
-          const double abs_sum = std::fabs(state->sum);
-          if (abs_error >
-              options.epsilon * abs_sum + options.absolute_slack) {
-            state->result.violation_steps += 1;
-          }
-          if (abs_sum >= options.rel_error_floor) {
-            state->result.max_rel_error =
-                std::max(state->result.max_rel_error, abs_error / abs_sum);
-          }
+          CheckTrackingStep(state->estimate, state->sum, options.epsilon,
+                            options.rel_error_floor,
+                            &state->result.violation_steps,
+                            &state->result.max_rel_error);
           pos += consumed;
           continue;
         }
@@ -149,15 +137,10 @@ void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
       for (int64_t j = 0; j < consumed; ++j) {
         state->sum += chunk[static_cast<size_t>(pos + j)];
         if (j == consumed - 1) state->estimate = protocol->Estimate();
-        const double abs_error = std::fabs(state->estimate - state->sum);
-        const double abs_sum = std::fabs(state->sum);
-        if (abs_error > options.epsilon * abs_sum + options.absolute_slack) {
-          state->result.violation_steps += 1;
-        }
-        if (abs_sum >= options.rel_error_floor) {
-          state->result.max_rel_error =
-              std::max(state->result.max_rel_error, abs_error / abs_sum);
-        }
+        CheckTrackingStep(state->estimate, state->sum, options.epsilon,
+                          options.rel_error_floor,
+                          &state->result.violation_steps,
+                          &state->result.max_rel_error);
         if (state->curve_stride > 0) {
           const int64_t done = state->t + pos + j + 1;
           if (done % state->curve_stride == 0 || done == state->result.n) {

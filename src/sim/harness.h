@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -21,10 +23,6 @@ struct TrackingOptions {
   /// violations via the absolute criterion above.
   double rel_error_floor = 1.0;
 
-  /// Absolute slack added to the violation test to absorb floating-point
-  /// accumulation noise on fractional streams.
-  double absolute_slack = 1e-9;
-
   /// If > 0, record (t, cumulative messages, S, estimate) at this many
   /// roughly evenly spaced steps — the raw series behind "figures".
   int curve_points = 0;
@@ -37,6 +35,26 @@ struct TrackingOptions {
   /// silent prefix, and skip-sampler gap state persists across calls).
   int batch_size = 256;
 };
+
+/// Absolute slack added to the violation test to absorb floating-point
+/// accumulation noise on fractional streams.
+inline constexpr double kTrackingAbsoluteSlack = 1e-9;
+
+/// The tracking rule for one step, shared by every checker: counts a
+/// violation when |estimate - sum| > epsilon * |sum| + slack, and folds the
+/// relative error into *max_rel_error when |sum| >= rel_error_floor.
+inline void CheckTrackingStep(double estimate, double sum, double epsilon,
+                              double rel_error_floor, int64_t* violations,
+                              double* max_rel_error) {
+  const double abs_error = std::fabs(estimate - sum);
+  const double abs_sum = std::fabs(sum);
+  if (abs_error > epsilon * abs_sum + kTrackingAbsoluteSlack) {
+    *violations += 1;
+  }
+  if (abs_sum >= rel_error_floor) {
+    *max_rel_error = std::max(*max_rel_error, abs_error / abs_sum);
+  }
+}
 
 /// One sampled point of the tracking trajectory.
 struct CurvePoint {

@@ -35,13 +35,13 @@ struct MessageStats {
   int64_t dropped = 0;
   int64_t delayed = 0;
   int64_t duplicated = 0;
-  /// Peak bytes of in-flight message state held by the network's bump
-  /// arena (see sim::Arena), and the block bytes the arena reserved from
-  /// the system. Max-merged rather than summed in operator+= — footprint
-  /// peaks of independent networks do not coincide in time, so the max is
-  /// the honest aggregate.
+  /// Peak bytes of the network's message-queue storage (delivery plus
+  /// delayed queue). The name predates the queues' move from a bump arena
+  /// to reserved std::vectors; it is kept because footprint readers key on
+  /// it. Max-merged rather than summed in operator+= — footprint peaks of
+  /// independent networks do not coincide in time, so the max is the
+  /// honest aggregate.
   int64_t arena_high_water_bytes = 0;
-  int64_t arena_reserved_bytes = 0;
 
   int64_t total() const { return site_to_coordinator + coordinator_to_site; }
 
@@ -54,8 +54,6 @@ struct MessageStats {
     duplicated += other.duplicated;
     arena_high_water_bytes =
         std::max(arena_high_water_bytes, other.arena_high_water_bytes);
-    arena_reserved_bytes =
-        std::max(arena_reserved_bytes, other.arena_reserved_bytes);
     return *this;
   }
 };

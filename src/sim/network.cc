@@ -14,8 +14,7 @@ namespace {
 constexpr size_t kInitialTypeSlots = 16;
 }  // namespace
 
-Network::Network(int num_sites)
-    : num_sites_(num_sites), queue_(&arena_), delayed_(&arena_) {
+Network::Network(int num_sites) : num_sites_(num_sites) {
   NMC_CHECK_GE(num_sites, 1);
   sites_.assign(static_cast<size_t>(num_sites), nullptr);
   queue_.reserve(64);
@@ -84,7 +83,7 @@ void Network::BeginTickSlow() {
         delayed_[kept++] = delayed;
       }
     }
-    delayed_.resize_down(kept);
+    delayed_.resize(kept);
     if (head_ < queue_.size()) DeliverAll();
   }
 }
@@ -155,28 +154,7 @@ void Network::DeliverQueued() {
   // Quiescent: reset to reuse the storage on the next pump.
   queue_.clear();
   head_ = 0;
-  MaybeResetArena();
   delivering_ = false;
-}
-
-void Network::MaybeResetArena() {
-  // Only worth doing (and only safe) when nothing is in flight and vector
-  // growth has abandoned old storage to the arena. In the steady state the
-  // vectors sit at their peak capacity, live covers everything the arena
-  // holds, and this returns after one compare — no allocation, no rewind.
-  if (!delayed_.empty()) return;
-  const size_t live = queue_.capacity() * sizeof(Envelope) +
-                      delayed_.capacity() * sizeof(DelayedEnvelope);
-  if (arena_.bytes_in_use() <= live) return;
-  const size_t queue_cap = queue_.capacity();
-  const size_t delayed_cap = delayed_.capacity();
-  queue_.ReleaseStorage();
-  delayed_.ReleaseStorage();
-  arena_.Reset();
-  // Re-reserve the old capacities from the rewound blocks so the arena's
-  // retained memory is reused instead of re-minted.
-  if (queue_cap > 0) queue_.reserve(queue_cap);
-  if (delayed_cap > 0) delayed_.reserve(delayed_cap);
 }
 
 std::vector<Network::TypeCount> Network::type_breakdown() const {

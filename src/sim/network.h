@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/arena.h"
 #include "sim/message.h"
 #include "sim/node.h"
 
@@ -38,15 +37,15 @@ class ChannelModel;
 /// The Network does not own the nodes; protocols own their nodes and attach
 /// them before use.
 ///
-/// Per-message work is allocation-free in the steady state: the delivery
-/// queue and the delayed-delivery queue live in a per-network bump arena
-/// (see sim::Arena) whose blocks are retained forever — the arena is
-/// rewound at quiescence boundaries whenever growth abandoned storage and
-/// nothing is in flight, so after warm-up no send or delivery touches the
-/// heap (MessageStats reports the arena's high-water footprint). The
-/// per-type accounting is a dense array indexed by message type (protocol
-/// type discriminators are small non-negative enums), and the observer
-/// hook costs one branch on a plain bool when no observer is installed.
+/// Per-message work is allocation-free in the steady state: every update's
+/// messages drain before the next update (see above), so the delivery
+/// queue and the delayed-delivery queue reach their peak size during
+/// warm-up and are only ever clear()ed or shrunk in place afterwards — a
+/// std::vector's capacity never shrinks, so after warm-up no send or
+/// delivery touches the heap. The per-type accounting is a dense array
+/// indexed by message type (protocol type discriminators are small
+/// non-negative enums), and the observer hook costs one branch on a plain
+/// bool when no observer is installed.
 class Network {
  public:
   explicit Network(int num_sites);
@@ -107,9 +106,10 @@ class Network {
   }
 
   const MessageStats& stats() const {
-    stats_.arena_high_water_bytes =
-        static_cast<int64_t>(arena_.high_water_bytes());
-    stats_.arena_reserved_bytes = static_cast<int64_t>(arena_.reserved_bytes());
+    // Capacities never shrink, so the current storage is the peak.
+    stats_.arena_high_water_bytes = static_cast<int64_t>(
+        queue_.capacity() * sizeof(Envelope) +
+        delayed_.capacity() * sizeof(DelayedEnvelope));
     return stats_;
   }
 
@@ -182,27 +182,20 @@ class Network {
   /// Out-of-line body of DeliverAll for a non-empty queue.
   void DeliverQueued();
 
-  /// Rewinds the arena when nothing is in flight and vector growth has
-  /// abandoned storage to it; a no-op (one compare) in the steady state.
-  void MaybeResetArena();
-
   int num_sites_;
   CoordinatorNode* coordinator_ = nullptr;
   std::vector<SiteNode*> sites_;
-  /// Backing store for the message queues below; declared first so the
-  /// vectors can borrow it at construction.
-  Arena arena_;
   /// FIFO queue as (vector, head index): push_back to enqueue, advance
   /// head_ to dequeue; storage is kept across DeliverAll() calls so the
   /// steady state never reallocates.
-  ArenaVector<Envelope> queue_;
+  std::vector<Envelope> queue_;
   size_t head_ = 0;
   /// Messages a channel delayed, in send order; flushed (stably, in place)
   /// into queue_ as their due ticks arrive.
-  ArenaVector<DelayedEnvelope> delayed_;
+  std::vector<DelayedEnvelope> delayed_;
   std::unique_ptr<ChannelModel> channel_;
   int64_t tick_ = 0;
-  /// mutable: stats() stamps the arena footprint fields on read.
+  /// mutable: stats() stamps the queue footprint field on read.
   mutable MessageStats stats_;
   /// Dense per-type counters; index = message type. Types are expected to
   /// be small non-negative ints (protocol enums); negative types abort.

@@ -38,12 +38,6 @@ struct ProtocolTraits {
   bool general_values = true;
   /// Monotonic counter of unit increments (+1 only).
   bool monotonic_only = false;
-  /// Safe to drive from the threaded transport backend: the protocol is a
-  /// self-contained state machine (always single-threaded — only one
-  /// coordinator thread ever touches it) that does not reach into mutable
-  /// process-global state behind the registry's back. False quarantines a
-  /// protocol to --transport=sim.
-  bool thread_safe = true;
 };
 
 /// String-keyed factory for every protocol in the library, so benches and

@@ -266,6 +266,23 @@ TEST_F(NetworkTest, DeepNestedChainsDrainInFifoOrder) {
   EXPECT_EQ(network_->stats().coordinator_to_site, 150);
 }
 
+TEST_F(NetworkTest, QueueFootprintIsNonzeroAndSteadyAcrossPumps) {
+  // Queue storage is reserved up front and never shrinks; once a pump
+  // shape has been seen, repeating it must not grow the footprint.
+  for (auto& site : sites_) site->set_reply_on_receive(true);
+  Message m;
+  m.type = 4;
+  network_->Broadcast(m);
+  network_->DeliverAll();
+  const int64_t warm = network_->stats().arena_high_water_bytes;
+  EXPECT_GT(warm, 0);
+  for (int round = 0; round < 1000; ++round) {
+    network_->Broadcast(m);
+    network_->DeliverAll();
+  }
+  EXPECT_EQ(network_->stats().arena_high_water_bytes, warm);
+}
+
 TEST(MessageStatsTest, PlusEqualsAggregates) {
   MessageStats a;
   a.site_to_coordinator = 3;

@@ -222,11 +222,5 @@ TEST(SocketsRuntimeTest, SigkillOnRawLinkStaysDeadAndTearsDown) {
 
 #endif  // !NMC_TSAN
 
-TEST(SocketsRuntimeTest, RegistryGatesSocketsLikeThreads) {
-  registry::RegisterBuiltinProtocols();
-  EXPECT_TRUE(TransportSupports(TransportKind::kSockets, "counter"));
-  EXPECT_TRUE(TransportSupports(TransportKind::kSim, "counter"));
-}
-
 }  // namespace
 }  // namespace nmc::runtime

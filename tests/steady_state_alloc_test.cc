@@ -1,5 +1,6 @@
 // Counting-allocator proof of the zero-allocation steady state: after a
-// warm-up prefix (vector growth, arena block minting, Phase 2 activation),
+// warm-up prefix (message queues and other vectors growing to their peak
+// reserved capacity, Phase 2 activation),
 // pumping updates through the counter must perform NO heap allocations at
 // all. This is the runtime check backing the NO_HEAP_IN_HOT_PATH lint rule
 // — the lint rule polices the entry points' text, this test counts actual
@@ -62,8 +63,8 @@ TEST(SteadyStateAllocTest, CounterPumpIsAllocationFreeAfterWarmup) {
   options.seed = 11;
   core::NonMonotonicCounter counter(1, options);
 
-  // Warm-up: arena blocks minted, queues at peak capacity, sampler feeds
-  // primed, message-type breakdown grown.
+  // Warm-up: queues at peak capacity, sampler feeds primed, message-type
+  // breakdown grown.
   for (int64_t t = 0; t < (1 << 14); ++t) Pump(&counter, stream, t);
 
   const int64_t before = g_allocations;
@@ -99,6 +100,37 @@ TEST(SteadyStateAllocTest, MultiSitePumpIsAllocationFreeAfterWarmup) {
     counter.ProcessUpdate(psi.NextSite(t, v), v);
   }
   EXPECT_EQ(g_allocations - before, 0);
+}
+
+TEST(SteadyStateAllocTest, DelayChannelPumpIsAllocationFreeAfterWarmup) {
+  // Under a delay channel the Network's delayed queue is live: envelopes
+  // are parked there and flushed in place as their due ticks arrive. Its
+  // capacity must settle during warm-up like the delivery queue's.
+  const int64_t n = 1 << 20;
+  const int k = 4;
+  const auto stream = streams::BernoulliStream(1 << 16, 0.0, 45);
+  core::CounterOptions options;
+  options.epsilon = 0.25;
+  options.horizon_n = n;
+  options.seed = 17;
+  options.channel.kind = sim::ChannelConfig::Kind::kDelay;
+  options.channel.delay_probability = 0.2;
+  options.channel.max_delay = 8;
+  options.channel.seed = 19;
+  core::NonMonotonicCounter counter(k, options);
+  sim::RoundRobinAssignment psi(k);
+
+  for (int64_t t = 0; t < (1 << 14); ++t) {
+    const double v = stream[static_cast<size_t>(t) % stream.size()];
+    counter.ProcessUpdate(psi.NextSite(t, v), v);
+  }
+  const int64_t before = g_allocations;
+  for (int64_t t = 1 << 14; t < (1 << 14) + 100000; ++t) {
+    const double v = stream[static_cast<size_t>(t) % stream.size()];
+    counter.ProcessUpdate(psi.NextSite(t, v), v);
+  }
+  EXPECT_EQ(g_allocations - before, 0);
+  EXPECT_GT(counter.stats().delayed, 0) << "the delayed queue never filled";
 }
 
 }  // namespace

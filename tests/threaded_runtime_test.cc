@@ -165,55 +165,5 @@ TEST(ThreadedRuntimeTest, SingleSiteNoReadersDegeneratesToSequentialFeed) {
   }
 }
 
-class TrivialSumProtocol : public sim::Protocol {
- public:
-  explicit TrivialSumProtocol(int num_sites) : num_sites_(num_sites) {}
-  int num_sites() const override { return num_sites_; }
-  void ProcessUpdate(int, double value) override { sum_ += value; }
-  double Estimate() const override { return sum_; }
-  const sim::MessageStats& stats() const override { return stats_; }
-
- private:
-  int num_sites_;
-  double sum_ = 0.0;
-  sim::MessageStats stats_;
-};
-
-TEST(TransportSupportsTest, ThreadSafeTraitGatesTheThreadedBackend) {
-  registry::RegisterBuiltinProtocols();
-  sim::ProtocolRegistry& registry = sim::ProtocolRegistry::Global();
-
-  // Builtins default to thread_safe and run on both backends.
-  EXPECT_TRUE(TransportSupports(TransportKind::kSim, "counter"));
-  EXPECT_TRUE(TransportSupports(TransportKind::kThreads, "counter"));
-  EXPECT_FALSE(TransportSupports(TransportKind::kSim, "no_such_protocol"));
-  EXPECT_FALSE(TransportSupports(TransportKind::kThreads, "no_such_protocol"));
-
-  // A protocol that declares itself sim-only is quarantined from threads.
-  sim::ProtocolTraits hostile;
-  hostile.thread_safe = false;
-  registry.Register(
-      "test_sim_only_protocol", hostile,
-      [](int num_sites, const sim::ProtocolParams&) {
-        return std::make_unique<TrivialSumProtocol>(num_sites);
-      });
-  EXPECT_TRUE(TransportSupports(TransportKind::kSim, "test_sim_only_protocol"));
-  EXPECT_FALSE(
-      TransportSupports(TransportKind::kThreads, "test_sim_only_protocol"));
-
-  // CreateForTransport builds it for the sim backend.
-  const std::unique_ptr<sim::Protocol> protocol = CreateForTransport(
-      TransportKind::kSim, "test_sim_only_protocol", 2, TestParams(128));
-  EXPECT_EQ(protocol->num_sites(), 2);
-}
-
-TEST(CreateForTransportTest, BuildsRegisteredProtocolForThreads) {
-  registry::RegisterBuiltinProtocols();
-  const std::unique_ptr<sim::Protocol> protocol = CreateForTransport(
-      TransportKind::kThreads, "counter", 3, TestParams(1024));
-  ASSERT_NE(protocol, nullptr);
-  EXPECT_EQ(protocol->num_sites(), 3);
-}
-
 }  // namespace
 }  // namespace nmc::runtime

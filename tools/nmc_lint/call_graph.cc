@@ -346,8 +346,8 @@ std::vector<Hazard> ScanBodyHazards(const FileSymbols& file,
           {code[i].line, "NO_HEAP_IN_HOT_PATH",
            "'new' in " + where +
                " is reachable from a per-update hot-path entry point; "
-               "preallocate in the constructor or use the per-tick arena "
-               "(sim::Arena)",
+               "preallocate in the constructor or reserve capacity up "
+               "front",
            "'new' expression"});
     } else if (IsIdentIn(code, i, kHeapMakers) &&
                (IsPunct(code, i + 1, "<") || IsPunct(code, i + 1, "("))) {

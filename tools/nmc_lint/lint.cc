@@ -789,8 +789,7 @@ std::vector<std::string> CollectReservedReceivers(
 /// `new` / std::make_unique / std::make_shared outright, and vector growth
 /// (`x.push_back` / `x.emplace_back`) on a receiver the file never calls
 /// reserve() on. Reserved receivers amortize to zero steady-state
-/// allocations (the repo's arena-backed queues additionally never touch
-/// the heap at all); unreserved ones reallocate on a schedule the adversary
+/// allocations; unreserved ones reallocate on a schedule the adversary
 /// controls. Lexical by design, like the transcendental rule: helpers
 /// called from the body are not traced.
 void CheckHeapInHotPath(const std::string& path,
@@ -832,7 +831,7 @@ void CheckHeapInHotPath(const std::string& path,
               {path, code[i].line, "NO_HEAP_IN_HOT_PATH",
                "'new' inside " + entry +
                    "() allocates once per update; preallocate in the "
-                   "constructor or use the per-tick arena (sim::Arena)"});
+                   "constructor or reserve capacity up front"});
         } else if (IsIdentIn(code, i, kHeapMakers) &&
                    (IsPunct(code, i + 1, "<") || IsPunct(code, i + 1, "("))) {
           findings->push_back(
