@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -180,6 +181,53 @@ void BM_BatchedPump(benchmark::State& state) {
   state.SetItemsProcessed(updates);
 }
 BENCHMARK(BM_BatchedPump)->Arg(1)->Arg(32)->Arg(256)->Arg(2048);
+
+// Phase 2's span scan in the threads-transport regime: a k = 2 drift-mode
+// counter (mu = 0.1, eps = 0.1, n = 2^22) past its switch to the HYZ pair
+// takes 256-update mixed-sign spans (the threaded coordinator's pull size)
+// through ProcessBatch, re-offering each span's unconsumed rest as the
+// pumps do. Phase 1 runs untimed; a fresh counter starts whenever the
+// stream is used up, so every timed update sits at the same point of an
+// n = 2^22 run whatever the iteration count.
+void BM_Phase2Batch(benchmark::State& state) {
+  constexpr int kSites = 2;
+  constexpr int64_t kHorizon = 1 << 22;
+  constexpr size_t kSpan = 256;
+  const auto stream = nmc::streams::BernoulliStream(kHorizon, 0.1, 29);
+  nmc::core::CounterOptions options;
+  options.epsilon = 0.1;
+  options.horizon_n = kHorizon;
+  options.drift_mode = nmc::core::DriftMode::kUnknownUnitDrift;
+  options.seed = 31;
+  std::unique_ptr<nmc::core::NonMonotonicCounter> counter;
+  size_t pos = stream.size();  // no counter yet
+  int site = 0;
+  const auto feed_span = [&] {
+    const auto span = std::span<const double>(stream).subspan(pos, kSpan);
+    for (size_t done = 0; done < kSpan;) {
+      done += static_cast<size_t>(
+          counter->ProcessBatch(site, span.subspan(done)));
+    }
+    pos += kSpan;
+    site = (site + 1) % kSites;
+  };
+  int64_t items = 0;
+  for (auto _ : state) {
+    if (pos + kSpan > stream.size()) {
+      state.PauseTiming();
+      counter =
+          std::make_unique<nmc::core::NonMonotonicCounter>(kSites, options);
+      pos = 0;
+      site = 0;
+      while (!counter->diagnostics().phase2_active) feed_span();
+      state.ResumeTiming();
+    }
+    feed_span();
+    items += static_cast<int64_t>(kSpan);
+  }
+  state.SetItemsProcessed(items);
+}
+BENCHMARK(BM_Phase2Batch);
 
 // Raw sampler cost per inter-report run at rate p = 1/range(0): one
 // geometric-skip draw from the vectorized bulk feed, as the counter sites

@@ -55,6 +55,9 @@ constexpr double kPhase2EpsFraction = 0.25;
 /// Theta(1/n^2)).
 constexpr double kPhase2DeltaScale = 1.0;
 
+/// Updates per TallySigns block in the Phase-2 span scan.
+constexpr size_t kPhase2Block = 64;
+
 // Rate scale from the mean square of the updates seen so far. The eq. (1)
 // first-passage calibration assumes ±1 steps; steps of variance m2 take
 // 1/m2 times longer to cover the same distance, so the rate may be scaled
@@ -722,10 +725,7 @@ void NonMonotonicCounter::ProcessUpdate(int site_id, double value) {
     NMC_CHECK_LT(site_id, num_sites());
     sites_[static_cast<size_t>(site_id)]->ConsumeRun(
         std::span<const double>(&value, 1));
-    network_.DeliverAll();
-    if (coordinator_->phase2_pending() && positive_counter_ == nullptr) {
-      ActivatePhase2();
-    }
+    Settle();
     return;
   }
   ProcessBatch(site_id, std::span<const double>(&value, 1));
@@ -737,15 +737,19 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
   NMC_CHECK_LT(site_id, num_sites());
   NMC_CHECK(!values.empty());
   if (positive_counter_ != nullptr) {
-    // Phase 2: forward the leading same-sign run to the matching HYZ
-    // counter as unit increments (±1 updates only, so same sign == equal).
-    const double first = values.front();
-    NMC_CHECK_EQ(std::fabs(first), 1.0);
-    size_t run = 1;
-    while (run < values.size() && values[run] == first) ++run;
-    hyz::HyzProtocol* target =
-        first > 0 ? positive_counter_.get() : negative_counter_.get();
-    return target->ProcessRun(site_id, static_cast<int64_t>(run));
+    // Phase 2. A one-update span (round-robin pumps) needs no scan: hand
+    // it to the HYZ counter of its sign. Under a faulty channel the HYZ
+    // pair takes one increment per call anyway, and a multi-update span
+    // would assume the silent prefix stays silent, which delayed delivery
+    // breaks.
+    if (values.size() == 1 || network_.channeled()) {
+      const double first = values.front();
+      NMC_CHECK_EQ(std::fabs(first), 1.0);
+      hyz::HyzProtocol* target =
+          first > 0 ? positive_counter_.get() : negative_counter_.get();
+      return target->ProcessRun(site_id, 1);
+    }
+    return ConsumePhase2(site_id, values);
   }
   // Under a faulty channel, advance simulated time (delivering anything
   // that came due) and process one update per call: fast-forwarding a
@@ -755,11 +759,68 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
   const int64_t consumed =
       sites_[static_cast<size_t>(site_id)]->ConsumeRun(
           faulty ? values.first(1) : values);
-  network_.DeliverAll();
-  if (coordinator_->phase2_pending() && positive_counter_ == nullptr) {
-    ActivatePhase2();
-  }
+  Settle();
   return consumed;
+}
+
+int64_t NonMonotonicCounter::ConsumePhase2(int site_id,
+                                           std::span<const double> values) {
+  hyz::HyzProtocol* const counters[2] = {positive_counter_.get(),
+                                         negative_counter_.get()};
+  // Scan the span for the first update that makes either counter report,
+  // tallying + (index 0) and - (index 1) separately. A sign's headroom is
+  // queried at its first update in the span, the moment the per-update
+  // feed would first touch that HYZ site, so a sampled site draws its gap
+  // exactly when it would have anyway. Asking earlier could draw a gap
+  // that no update of this span uses; another site's report could then
+  // start a new round, discard it and shift that site's RNG stream.
+  int64_t taken[2] = {0, 0};
+  int64_t room[2] = {-1, -1};  // -1: not queried yet
+  int reporter = -1;
+  const auto fits = [&](int sign, int64_t count) {
+    return count == 0 ||
+           (room[sign] >= 0 && taken[sign] + count <= room[sign]);
+  };
+  const size_t n = values.size();
+  size_t i = 0;
+  while (reporter < 0 && i < n) {
+    const size_t len = std::min(kPhase2Block, n - i);
+    if (room[0] >= 0 || room[1] >= 0) {  // else no block can fit
+      const common::SignTally tally =
+          common::TallySigns(values.subspan(i, len));
+      if (tally.all_unit && fits(0, tally.plus) && fits(1, tally.minus)) {
+        taken[0] += tally.plus;
+        taken[1] += tally.minus;
+        i += len;
+        continue;
+      }
+    }
+    // The block holds the reporting update, a sign not queried yet, or a
+    // non-unit value: step through it, back to blocks once both signs'
+    // headrooms are known.
+    for (const size_t end = i + len; i < end;) {
+      const double value = values[i++];
+      NMC_CHECK_EQ(std::fabs(value), 1.0);
+      const int sign = value > 0.0 ? 0 : 1;
+      const bool query = room[sign] < 0;
+      if (query) room[sign] = counters[sign]->Headroom(site_id);
+      if (++taken[sign] > room[sign]) {
+        reporter = sign;
+        break;
+      }
+      if (query && room[1 - sign] >= 0) break;
+    }
+  }
+
+  // At most one run per sign, the reporting sign last: the silent run
+  // cannot message, so the span's only message is its final update's.
+  const int last = reporter < 0 ? 1 : reporter;
+  for (const int sign : {1 - last, last}) {
+    if (taken[sign] == 0) continue;
+    const int64_t consumed = counters[sign]->ProcessRun(site_id, taken[sign]);
+    NMC_CHECK_EQ(consumed, taken[sign]);
+  }
+  return taken[0] + taken[1];
 }
 
 bool NonMonotonicCounter::Resync() {
@@ -773,7 +834,9 @@ bool NonMonotonicCounter::Resync() {
   } else {
     coordinator_->BeginResync();
   }
-  network_.DeliverAll();
+  // A resync round that completes may resolve the drift and commit the
+  // coordinator to Phase 2, like any other exact state.
+  Settle();
   return true;
 }
 
@@ -786,7 +849,7 @@ void NonMonotonicCounter::ForceSync() {
   } else {
     return;  // StraightSync: the coordinator is already exact
   }
-  network_.DeliverAll();
+  Settle();
 }
 
 int64_t NonMonotonicCounter::SyncedUpdates() const {
@@ -795,6 +858,13 @@ int64_t NonMonotonicCounter::SyncedUpdates() const {
 
 double NonMonotonicCounter::SyncedSumSquares() const {
   return coordinator_->known_sum_sq();
+}
+
+void NonMonotonicCounter::Settle() {
+  network_.DeliverAll();
+  if (coordinator_->phase2_pending() && positive_counter_ == nullptr) {
+    ActivatePhase2();
+  }
 }
 
 void NonMonotonicCounter::ActivatePhase2() {

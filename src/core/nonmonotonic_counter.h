@@ -181,6 +181,11 @@ class NonMonotonicCounter : public sim::Protocol {
   /// and returns the count consumed (see the Protocol::ProcessBatch
   /// contract). With the kGeometricSkip sampler the silent prefix of a
   /// run costs O(1) RNG draws and rate evaluations instead of one per
+  /// update. In Phase 2 the run may mix signs: it is scanned in blocks
+  /// against both HYZ sites' headrooms (each sign's is queried at that
+  /// sign's first update, so the HYZ RNG draw order matches per-update
+  /// feeding) and handed over as at most one ProcessRun per sign, the
+  /// reporting sign last. Under a faulty channel every call consumes one
   /// update.
   int64_t ProcessBatch(int site_id, std::span<const double> values) override;
 
@@ -222,7 +227,13 @@ class NonMonotonicCounter : public sim::Protocol {
   class Site;
   class Coordinator;
 
+  /// Delivers every message in flight, then builds the HYZ pair if that
+  /// committed the coordinator to Phase 2.
+  void Settle();
   void ActivatePhase2();
+  /// Phase 2's span scan for a multi-update span on a perfect channel
+  /// (ProcessBatch hands one-update spans straight to a HYZ counter).
+  int64_t ConsumePhase2(int site_id, std::span<const double> values);
 
   CounterOptions options_;
   sim::Network network_;

@@ -93,6 +93,22 @@ class HyzProtocol::Site : public sim::SiteNode {
     return consumed;
   }
 
+  /// Increments this site can absorb before its next report: the next
+  /// ConsumeRun(count) is silent iff count <= Headroom(). kDeterministic
+  /// reads it off the threshold; kSampled returns the cached gap, drawing
+  /// it first if none is cached — the draw the next ConsumeRun would make,
+  /// which then finds it cached. The per-coin reference cannot know its
+  /// next coin and answers the lower bound 0.
+  int64_t Headroom() {
+    if (mode_ == HyzMode::kDeterministic) {
+      return std::max<int64_t>(
+          0, last_reported_ + threshold_ - round_count_ - 1);
+    }
+    if (per_coin_) return 0;
+    skip_.EnsureGap(&rng_, rate_);
+    return skip_.gap();
+  }
+
   void OnCoordinatorMessage(const sim::Message& message) override {
     switch (message.type) {
       case kCollect: {
@@ -371,6 +387,12 @@ int64_t HyzProtocol::ProcessRun(int site_id, int64_t count) {
       sites_[static_cast<size_t>(site_id)]->ConsumeRun(count);
   network_.DeliverAll();
   return consumed;
+}
+
+int64_t HyzProtocol::Headroom(int site_id) {
+  NMC_CHECK_GE(site_id, 0);
+  NMC_CHECK_LT(site_id, num_sites());
+  return sites_[static_cast<size_t>(site_id)]->Headroom();
 }
 
 bool HyzProtocol::Resync() {

@@ -104,6 +104,18 @@ class HyzProtocol : public sim::Protocol {
   /// counter): identical semantics without touching the values.
   int64_t ProcessRun(int site_id, int64_t count);
 
+  /// Increments `site_id` can absorb before its next report: on a perfect
+  /// channel, ProcessRun(site_id, count) is silent and consumes all of
+  /// `count` iff count <= Headroom(site_id), and otherwise consumes
+  /// Headroom(site_id) + 1 and reports. In the sampled mode the query
+  /// draws the site's next inter-report gap if none is cached — exactly
+  /// the draw its next increment would make — so it leaves the RNG stream
+  /// unchanged only if an increment reaches this site before a broadcast
+  /// invalidates that gap. The per-coin reference sampler has not flipped
+  /// its next coin yet and answers 0, a lower bound: its next increment
+  /// may or may not report.
+  int64_t Headroom(int site_id);
+
   double Estimate() const override;
 
   const sim::MessageStats& stats() const override;

@@ -4,8 +4,10 @@
 // chunked stream sources must emit exactly the value sequences of their
 // vector counterparts.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -89,14 +91,85 @@ TEST(BatchedPumpTest, CounterBitIdenticalOnAdversarialStream) {
   ExpectSameResult(reference, RunCounterBatched(stream, 2, options, 64));
 }
 
+// Phase 2 consumes whole mixed-sign spans (up to the first HYZ report),
+// so the slicing must stay unobservable there too. A drifting ±1 stream
+// under block-cyclic assignment hands the counter long same-site spans
+// holding both signs; both HYZ variants run (deterministic thresholds and
+// sampled gaps, whose RNG draw order the span scan must not move).
 TEST(BatchedPumpTest, CounterPhase2BatchMatchesPerUpdate) {
-  const int64_t n = 1 << 13;
-  core::CounterOptions options = testing::DefaultOptions(n, 0.2, 505);
+  const int64_t n = 1 << 15;
+  const auto stream = streams::BernoulliStream(n, 0.55, 505);
+  for (int num_sites : {1, 3}) {
+    for (bool auto_hyz_mode : {true, false}) {
+      core::CounterOptions options = testing::DefaultOptions(n, 0.2, 505);
+      options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+      options.phase2_auto_hyz_mode = auto_hyz_mode;
+      const auto run = [&](int batch_size) {
+        core::NonMonotonicCounter counter(num_sites, options);
+        sim::BlockCyclicAssignment psi(num_sites, 1000);
+        sim::TrackingOptions tracking;
+        tracking.epsilon = options.epsilon;
+        tracking.curve_points = 16;
+        tracking.batch_size = batch_size;
+        const auto result = sim::RunTracking(stream, &psi, &counter, tracking);
+        EXPECT_TRUE(counter.diagnostics().phase2_active);
+        return result;
+      };
+      const auto reference = run(1);
+      for (int batch : {7, 256, 1 << 14}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "sites=" << num_sites << " auto_hyz=" << auto_hyz_mode
+                     << " batch=" << batch);
+        ExpectSameResult(reference, run(batch));
+      }
+    }
+  }
+}
+
+TEST(BatchedPumpTest, CounterPhase2SpanScanKeepsSampledDrawOrder) {
+  // A sampled HYZ site draws its next gap at its first increment after a
+  // round change. A span scan that queried both signs' headrooms up front
+  // would draw one for a sign the span never feeds; if another site's
+  // report then starts a new round, that draw is discarded and the site's
+  // RNG stream has moved. Scripted to hit exactly that: site 0 takes a
+  // +-only span between two - round changes driven by site 1, then mixed
+  // spans whose - reports expose its - RNG stream.
+  const int64_t n = 1 << 15;
+  core::CounterOptions options = testing::DefaultOptions(n, 0.1, 707);
   options.drift_mode = core::DriftMode::kUnknownUnitDrift;
-  const std::vector<double> stream(static_cast<size_t>(n), 1.0);  // mu = 1
-  const auto reference = RunCounterBatched(stream, 4, options, 1);
-  const auto batched = RunCounterBatched(stream, 4, options, 512);
-  ExpectSameResult(reference, batched);
+  options.phase2_auto_hyz_mode = false;  // sampled HYZ
+  core::NonMonotonicCounter batched(2, options);
+  core::NonMonotonicCounter per_update(2, options);
+  const auto warmup = streams::BernoulliStream(n, 0.55, 708);
+  for (size_t t = 0; t < warmup.size(); ++t) {
+    batched.ProcessUpdate(static_cast<int>(t % 2), warmup[t]);
+    per_update.ProcessUpdate(static_cast<int>(t % 2), warmup[t]);
+  }
+  ASSERT_TRUE(batched.diagnostics().phase2_active);
+
+  const std::vector<double> minus_run(1 << 15, -1.0);
+  const std::vector<double> plus_only = {1.0, 1.0};
+  const auto mixed = streams::BernoulliStream(1 << 12, 0.0, 709);
+  const struct {
+    int site;
+    const std::vector<double>* values;
+  } script[] = {{1, &minus_run}, {0, &plus_only}, {1, &minus_run},
+                {0, &mixed}};
+  for (const auto& step : script) {
+    const std::span<const double> values(*step.values);
+    for (size_t pos = 0; pos < values.size();) {
+      const size_t len = std::min<size_t>(256, values.size() - pos);
+      const int64_t consumed =
+          batched.ProcessBatch(step.site, values.subspan(pos, len));
+      for (int64_t j = 0; j < consumed; ++j) {
+        per_update.ProcessUpdate(step.site,
+                                 values[pos + static_cast<size_t>(j)]);
+      }
+      pos += static_cast<size_t>(consumed);
+      ASSERT_EQ(batched.Estimate(), per_update.Estimate()) << "at " << pos;
+    }
+  }
+  EXPECT_EQ(batched.stats().total(), per_update.stats().total());
 }
 
 // ---- SIMD dispatch is unobservable in results ----------------------------

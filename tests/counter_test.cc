@@ -1,10 +1,13 @@
 #include "core/nonmonotonic_counter.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/channel.h"
 #include "streams/bernoulli.h"
 #include "streams/fbm.h"
 #include "streams/permutation.h"
@@ -247,6 +250,95 @@ TEST(CounterTest, EstimateAvailableFromStart) {
   EXPECT_DOUBLE_EQ(counter.Estimate(), 0.0);
   counter.ProcessUpdate(0, 1.0);
   EXPECT_DOUBLE_EQ(counter.Estimate(), 1.0);  // straight stage: exact
+}
+
+// Feeds a drifting ±1 stream of 2^15 updates one at a time, round-robin
+// over the sites, and checks that the counter ended in Phase 2. With
+// `resync`, a Resync() every 1024 updates unsticks collect rounds whose
+// replies a faulty channel lost.
+void FeedIntoPhase2(NonMonotonicCounter* counter, uint64_t seed,
+                    bool resync = false) {
+  const auto stream = streams::BernoulliStream(1 << 15, 0.55, seed);
+  const size_t k = static_cast<size_t>(counter->num_sites());
+  for (size_t t = 0; t < stream.size(); ++t) {
+    counter->ProcessUpdate(static_cast<int>(t % k), stream[t]);
+    if (resync && t % 1024 == 1023) counter->Resync();
+  }
+  ASSERT_TRUE(counter->diagnostics().phase2_active);
+}
+
+// +1, -1, +1, ...: every same-sign run is one update long.
+std::vector<double> AlternatingSpan(size_t length, double first) {
+  std::vector<double> span(length);
+  for (size_t i = 0; i < length; ++i) span[i] = i % 2 == 0 ? first : -first;
+  return span;
+}
+
+TEST(CounterTest, Phase2BatchConsumesMixedSignSpans) {
+  // Phase 2 consumes a span up to its first HYZ report whatever the signs,
+  // so on alternating spans calls run far past the leading same-sign run.
+  const int64_t n = 1 << 15;
+  CounterOptions options = DefaultOptions(n, 0.1, 38);
+  options.drift_mode = DriftMode::kUnknownUnitDrift;
+  NonMonotonicCounter counter(2, options);
+  FeedIntoPhase2(&counter, 39);
+  const std::vector<double> span = AlternatingSpan(32, 1.0);
+  int64_t longest = 0;
+  for (int call = 0; call < 32; ++call) {
+    const int64_t consumed = counter.ProcessBatch(call % 2, span);
+    ASSERT_GE(consumed, 1);
+    ASSERT_LE(consumed, 32);
+    longest = std::max(longest, consumed);
+  }
+  EXPECT_EQ(longest, 32);
+}
+
+TEST(CounterTest, Phase2BatchTakesOneUpdateUnderFaultyChannels) {
+  // Consuming a span assumes its silent prefix stays silent, which delayed
+  // or lost deliveries break: under every non-perfect channel a Phase-2
+  // ProcessBatch consumes exactly one update of a mixed-sign span.
+  sim::ChannelConfig loss;
+  loss.kind = sim::ChannelConfig::Kind::kLoss;
+  loss.loss = 0.01;
+  loss.duplicate = 0.01;
+  sim::ChannelConfig delay;
+  delay.kind = sim::ChannelConfig::Kind::kDelay;
+  delay.delay_probability = 0.1;
+  sim::ChannelConfig crash;
+  crash.kind = sim::ChannelConfig::Kind::kCrash;
+  crash.crashes = {sim::CrashInterval{1, 100, 200}};
+  for (const sim::ChannelConfig& channel : {loss, delay, crash}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "channel kind=" << static_cast<int>(channel.kind));
+    CounterOptions options = DefaultOptions(1 << 15, 0.1, 40);
+    options.drift_mode = DriftMode::kUnknownUnitDrift;
+    options.channel = channel;
+    NonMonotonicCounter counter(2, options);
+    FeedIntoPhase2(&counter, 41, /*resync=*/true);
+    for (int call = 0; call < 32; ++call) {
+      const std::vector<double> span =
+          AlternatingSpan(64, call % 4 < 2 ? 1.0 : -1.0);
+      EXPECT_EQ(counter.ProcessBatch(call % 2, span), 1);
+    }
+  }
+}
+
+TEST(CounterDeathTest, Phase2RejectsNonUnitValueInsideSpan) {
+  CounterOptions options = DefaultOptions(1 << 15, 0.1, 42);
+  options.drift_mode = DriftMode::kUnknownUnitDrift;
+  NonMonotonicCounter counter(1, options);
+  FeedIntoPhase2(&counter, 43);
+  std::vector<double> span = AlternatingSpan(200, 1.0);
+  span[150] = 0.5;
+  // Pump the span as the harness does, so the bad value is reached even
+  // if an earlier update reports and ends a call.
+  const auto pump = [&] {
+    for (size_t pos = 0; pos < span.size();) {
+      pos += static_cast<size_t>(counter.ProcessBatch(
+          0, std::span<const double>(span).subspan(pos)));
+    }
+  };
+  EXPECT_DEATH(pump(), "NMC_CHECK");
 }
 
 TEST(CounterDeathTest, DriftModeRejectsFractionalUpdates) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/nonmonotonic_counter.h"
 #include "registry/builtin.h"
 #include "runtime/transport.h"
 #include "sim/registry.h"
@@ -146,6 +147,36 @@ TEST(ThreadedRuntimeTest, EchoesFlowBackToSites) {
       RunThreaded(protocol.get(), shards, options);
   EXPECT_GT(result.echoes_sent, 0);
   EXPECT_LE(result.echoes_received, result.echoes_sent);
+}
+
+// Phase 2 on real threads: once the drift resolves, each ProcessBatch
+// consumes a whole mixed-sign mailbox span up to the next HYZ report, and
+// the coordinator publishes once per call. The captured run must still
+// replay bit-identically through the per-update oracle, and the publish
+// count is pinned structurally: far fewer publishes than updates.
+TEST(ThreadedRuntimeTest, Phase2ConsumesWholeSpansAndStaysLinearizable) {
+  const int64_t n = 1 << 19;
+  const int k = 2;
+  core::CounterOptions counter_options;
+  counter_options.epsilon = 0.25;
+  counter_options.horizon_n = n;
+  counter_options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+  counter_options.seed = 43;
+  const std::vector<double> stream = streams::BernoulliStream(n, 0.1, 47);
+  const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
+  core::NonMonotonicCounter counter(k, counter_options);
+  ThreadedRunOptions options;
+  options.num_readers = 1;
+  options.capture = true;
+  const ThreadedRunResult result = RunThreaded(&counter, shards, options);
+  EXPECT_EQ(result.updates, n);
+  EXPECT_TRUE(counter.diagnostics().phase2_active);
+  EXPECT_LE(result.publishes, result.updates / 16);
+
+  core::NonMonotonicCounter oracle(k, counter_options);
+  const LinearizabilityReport report = CheckLinearizable(result, &oracle);
+  EXPECT_TRUE(report.linearizable) << report.failure;
+  EXPECT_EQ(report.publishes_checked, result.publishes);
 }
 
 TEST(ThreadedRuntimeTest, SingleSiteNoReadersDegeneratesToSequentialFeed) {
