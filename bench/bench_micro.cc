@@ -229,6 +229,34 @@ void BM_Phase2Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_Phase2Batch);
 
+// The sim pump's protocol-call boundary under interleaved assignment: a
+// k = 4 drift-mode counter (mu = 0.1, eps = 0.1) fed round-robin through
+// RunTracking, so every same-site run is one update long. The pump hands
+// whole chunks to ProcessSpan, and the counter consumes each up to its
+// next message — Phase 1 per site, Phase 2 per (site, sign) slot — so
+// items/s is the interleaved end-to-end sim rate, Phase 1 and the
+// Phase-2 switch included.
+void BM_InterleavedPump(benchmark::State& state) {
+  constexpr int kSites = 4;
+  constexpr int64_t kUpdates = 1 << 20;
+  const auto stream = nmc::streams::BernoulliStream(kUpdates, 0.1, 41);
+  int64_t updates = 0;
+  for (auto _ : state) {
+    nmc::core::CounterOptions options;
+    options.epsilon = 0.1;
+    options.horizon_n = kUpdates;
+    options.drift_mode = nmc::core::DriftMode::kUnknownUnitDrift;
+    options.seed = 43;
+    nmc::core::NonMonotonicCounter counter(kSites, options);
+    nmc::sim::RoundRobinAssignment psi(kSites);
+    const auto result = PumpRun(stream, &counter, &psi, PumpTracking(0.1));
+    benchmark::DoNotOptimize(result.messages);
+    updates += result.n;
+  }
+  state.SetItemsProcessed(updates);
+}
+BENCHMARK(BM_InterleavedPump)->Unit(benchmark::kMillisecond);
+
 // Raw sampler cost per inter-report run at rate p = 1/range(0): one
 // geometric-skip draw from the vectorized bulk feed, as the counter sites
 // draw their gaps. items/s counts stream updates consumed, so it is the

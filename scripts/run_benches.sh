@@ -63,7 +63,7 @@ echo "== micro benchmarks (simulator hot path) =="
 "${BUILD_DIR}/bench/bench_micro" \
     --benchmark_out="${WORK_DIR}/micro.json" \
     --benchmark_out_format=json \
-    --benchmark_filter='TrackingPump|NetworkPump|CounterUpdate|HyzUpdate|SkipSampler|BatchedPump|BatchRngFill'
+    --benchmark_filter='TrackingPump|NetworkPump|CounterUpdate|HyzUpdate|SkipSampler|BatchedPump|BatchRngFill|Phase2Batch|InterleavedPump'
 
 # One fast representative per bench family: counter scaling (E2), the
 # monotonic special case / HYZ family (E11), the adversarial-order family

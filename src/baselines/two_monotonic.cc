@@ -9,7 +9,8 @@ namespace nmc::baselines {
 
 TwoMonotonicProtocol::TwoMonotonicProtocol(int num_sites, double epsilon,
                                            double delta, uint64_t seed,
-                                           const sim::ChannelConfig& channel) {
+                                           const sim::ChannelConfig& channel)
+    : span_scan_(num_sites, 2) {
   common::Rng seeder(seed);
   hyz::HyzOptions options;
   options.epsilon = epsilon;
@@ -34,6 +35,18 @@ void TwoMonotonicProtocol::ProcessUpdate(int site_id, double value) {
   } else {
     negative_->ProcessUpdate(site_id, 1.0);
   }
+}
+
+int64_t TwoMonotonicProtocol::ProcessSpan(std::span<const int> sites,
+                                          std::span<const double> values) {
+  NMC_CHECK(!values.empty());
+  NMC_CHECK_EQ(sites.size(), values.size());
+  if (positive_->channeled()) {
+    ProcessUpdate(sites[0], values[0]);
+    return 1;
+  }
+  hyz::HyzProtocol* const pair[2] = {positive_.get(), negative_.get()};
+  return span_scan_.Consume(pair, sites, values);
 }
 
 double TwoMonotonicProtocol::Estimate() const {

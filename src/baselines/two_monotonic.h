@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "hyz/hyz_counter.h"
 #include "sim/channel.h"
@@ -25,6 +26,11 @@ class TwoMonotonicProtocol : public sim::Protocol {
 
   int num_sites() const override;
   void ProcessUpdate(int site_id, double value) override;
+  /// Consumes a whole interleaved stretch per call through a
+  /// hyz::SpanScan over the two counters (one update per call under a
+  /// faulty channel).
+  int64_t ProcessSpan(std::span<const int> sites,
+                      std::span<const double> values) override;
   double Estimate() const override;
   const sim::MessageStats& stats() const override;
   bool Resync() override;
@@ -32,6 +38,7 @@ class TwoMonotonicProtocol : public sim::Protocol {
  private:
   std::unique_ptr<hyz::HyzProtocol> positive_;
   std::unique_ptr<hyz::HyzProtocol> negative_;
+  hyz::SpanScan span_scan_;
   mutable sim::MessageStats combined_stats_;
 };
 

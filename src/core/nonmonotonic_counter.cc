@@ -162,6 +162,36 @@ class NonMonotonicCounter::Site : public sim::SiteNode {
     return ConsumeThinned(values);
   }
 
+  /// Silent updates this site (k > 1) absorbs before its next sampling
+  /// event — a candidate, the end of its domination span, or in
+  /// StraightSync (budget 0) a report — as the per-update feed would
+  /// meet it from here: starts the domination span and draws the gap if
+  /// the next update would. Returns -1, touching nothing, when the next
+  /// `horizon` unit updates could not be tallied exactly (totals outside
+  /// the exact-integer range).
+  int64_t SilentBudget(int64_t horizon) {
+    if (!in_sbc_stage_) return 0;
+    if (!SmallTotalsFor(horizon)) return -1;
+    if (span_left_ <= 0) Dominate();
+    skip_.EnsureGap(&rng_, dom_);
+    return std::min(skip_.gap(), span_left_);
+  }
+
+  /// Applies `count` silent unit updates summing to `net`, all within the
+  /// budget SilentBudget reported: bit-identical to absorbing them one at
+  /// a time (the budget certified the exact-integer range).
+  void AbsorbSilent(int64_t count, int64_t net) {
+    small_budget_ -= count;
+    local_updates_ += count;
+    local_sum_ += static_cast<double>(net);
+    local_sum_sq_ += static_cast<double>(count);
+    updates_since_state_ += count;
+    span_left_ -= count;
+    skip_.Advance(count);
+  }
+
+  bool in_sbc_stage() const { return in_sbc_stage_; }
+
   void OnCoordinatorMessage(const sim::Message& message) override {
     switch (message.type) {
       case kCollect:
@@ -695,11 +725,13 @@ class NonMonotonicCounter::Coordinator : public sim::CoordinatorNode {
 
 NonMonotonicCounter::NonMonotonicCounter(int num_sites,
                                          const CounterOptions& options)
-    : options_(options), network_(num_sites) {
+    : options_(options), network_(num_sites), phase2_scan_(num_sites, 2) {
   NMC_CHECK_GT(options.epsilon, 0.0);
   NMC_CHECK_GE(options.horizon_n, 1);
   NMC_CHECK_GE(options.initial_updates, 0);
   network_.SetChannel(sim::MakeChannel(options.channel));
+  slots_.resize(static_cast<size_t>(num_sites));
+  touched_.resize(static_cast<size_t>(num_sites));
   common::Rng seeder(options.seed);
   coordinator_ = std::make_unique<Coordinator>(num_sites, options, &network_);
   network_.AttachCoordinator(coordinator_.get());
@@ -737,11 +769,10 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
   NMC_CHECK_LT(site_id, num_sites());
   NMC_CHECK(!values.empty());
   if (positive_counter_ != nullptr) {
-    // Phase 2. A one-update span (round-robin pumps) needs no scan: hand
-    // it to the HYZ counter of its sign. Under a faulty channel the HYZ
-    // pair takes one increment per call anyway, and a multi-update span
-    // would assume the silent prefix stays silent, which delayed delivery
-    // breaks.
+    // Phase 2. A one-update span needs no scan: hand it to the HYZ
+    // counter of its sign. Under a faulty channel the HYZ pair takes one
+    // increment per call anyway, and a multi-update span would assume the
+    // silent prefix stays silent, which delayed delivery breaks.
     if (values.size() == 1 || network_.channeled()) {
       const double first = values.front();
       NMC_CHECK_EQ(std::fabs(first), 1.0);
@@ -761,6 +792,114 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
           faulty ? values.first(1) : values);
   Settle();
   return consumed;
+}
+
+int64_t NonMonotonicCounter::ProcessSpan(std::span<const int> sites,
+                                         std::span<const double> values) {
+  NMC_CHECK(!values.empty());
+  NMC_CHECK_EQ(sites.size(), values.size());
+  if (sites_.size() == 1) {
+    return NonMonotonicCounter::ProcessBatch(sites[0], values);
+  }
+  const int site_id = sites[0];
+  NMC_CHECK_GE(site_id, 0);
+  NMC_CHECK_LT(site_id, num_sites());
+  const bool faulty = network_.channeled();
+  if (positive_counter_ == nullptr && !faulty &&
+      !sites_[static_cast<size_t>(site_id)]->in_sbc_stage()) {
+    // StraightSync reports every update: the span ends at its first.
+    sites_[static_cast<size_t>(site_id)]->ConsumeRun(values.first(1));
+    Settle();
+    return 1;
+  }
+  // A faulty channel takes one update per call; a span opening on one
+  // site hands its whole same-site run to ProcessBatch, which
+  // fast-forwards it and returns at the run's first message.
+  if (faulty) {
+    return NonMonotonicCounter::ProcessBatch(site_id, values.first(1));
+  }
+  if (sites.size() == 1 || sites[1] == site_id) {
+    return NonMonotonicCounter::ProcessBatch(site_id,
+                                             values.first(LeadingRun(sites)));
+  }
+  if (positive_counter_ != nullptr) {
+    hyz::HyzProtocol* const pair[2] = {positive_counter_.get(),
+                                       negative_counter_.get()};
+    return phase2_scan_.Consume(pair, sites, values);
+  }
+  return ScanPhase1(sites, values);
+}
+
+void NonMonotonicCounter::ListSlot(int slot, int* count) {
+  ScanSlot& entry = slots_[static_cast<size_t>(slot)];
+  if (entry.listed) return;
+  entry.listed = true;
+  touched_[static_cast<size_t>((*count)++)] = slot;
+}
+
+int64_t NonMonotonicCounter::ScanPhase1(std::span<const int> sites,
+                                        std::span<const double> values) {
+  // Between two messages each site evolves on its own state and RNG, so a
+  // site's silent updates can be tallied and applied later, in bulk: the
+  // site sees the same updates in the same order. What must not move is
+  // when a site draws: its budget is queried at its first update in the
+  // span (and again at its first update after each event), exactly where
+  // the per-update feed would start a domination span or draw a gap.
+  // Asking earlier could draw a gap that a message ending the span then
+  // discards, shifting the site's RNG stream.
+  const int num_sites = static_cast<int>(sites_.size());
+  const int64_t messages_before = network_.total_messages();
+  const size_t n = values.size();
+  int touched = 0;
+  size_t i = 0;
+  while (i < n) {
+    const double value = values[i];
+    const int s = sites[i];
+    NMC_CHECK_GE(s, 0);
+    NMC_CHECK_LT(s, num_sites);
+    if (std::fabs(value) != 1.0) break;  // tallies hold ±1 updates only
+    ScanSlot& slot = slots_[static_cast<size_t>(s)];
+    Site& site = *sites_[static_cast<size_t>(s)];
+    if (slot.room < 0) {
+      const int64_t room = site.SilentBudget(static_cast<int64_t>(n - i));
+      if (room < 0) break;
+      slot.room = room;
+      ListSlot(s, &touched);
+    }
+    if (slot.taken < slot.room) {
+      ++slot.taken;
+      slot.net += static_cast<int64_t>(value);  // exact: value is ±1
+      ++i;
+      continue;
+    }
+    // The site's next sampling event: bring the site up to date and run
+    // this update through the per-update state machine. A rejected
+    // candidate or an expired domination span is silent, and the scan
+    // goes on; the site's budget is queried afresh at its next update.
+    if (slot.taken > 0) site.AbsorbSilent(slot.taken, slot.net);
+    slot.taken = 0;
+    slot.net = 0;
+    slot.room = -1;
+    site.ConsumeRun(values.subspan(i, 1));
+    ++i;
+    if (network_.total_messages() != messages_before) break;
+  }
+  if (i == 0) {
+    // The first update cannot be tallied (non-±1 value or totals outside
+    // the exact range); nothing was touched.
+    return NonMonotonicCounter::ProcessBatch(sites[0], values.first(1));
+  }
+  // Every site's totals must be current before the message (if any) is
+  // delivered: a collect reads them, and a state broadcast restarts the
+  // per-site update count.
+  for (int j = 0; j < touched; ++j) {
+    const size_t s = static_cast<size_t>(touched_[static_cast<size_t>(j)]);
+    ScanSlot& slot = slots_[s];
+    if (slot.taken > 0) sites_[s]->AbsorbSilent(slot.taken, slot.net);
+    slot = ScanSlot{};
+  }
+  Settle();
+  return static_cast<int64_t>(i);
 }
 
 int64_t NonMonotonicCounter::ConsumePhase2(int site_id,

@@ -189,6 +189,24 @@ class NonMonotonicCounter : public sim::Protocol {
   /// update.
   int64_t ProcessBatch(int site_id, std::span<const double> values) override;
 
+  /// Feeds an interleaved span (see the Protocol::ProcessSpan contract).
+  /// Between two messages every site evolves on its own state and RNG, so
+  /// a multi-site ±1 span is scanned per slot — per site in Phase 1, per
+  /// (site, sign) in Phase 2 — against each slot's silent budget: the
+  /// skip gap an SBC site would sample against (0 in StraightSync), or
+  /// the HYZ site's headroom. A slot's budget is queried lazily, at its
+  /// first update in the span, so every RNG draw happens exactly when the
+  /// per-update feed would make it. Phase 1 applies each site's silent
+  /// tally in bulk and sends its next sampling event through the
+  /// per-update state machine, continuing past rejected candidates; Phase
+  /// 2 issues one ProcessRun per touched slot, the reporting slot last.
+  /// A span that opens on one site (every span at k = 1) hands its whole
+  /// leading same-site run to ProcessBatch. A StraightSync site and a
+  /// faulty channel take one update per call. Phase 1's scan stops before
+  /// a non-±1 value, which then goes through ProcessBatch alone.
+  int64_t ProcessSpan(std::span<const int> sites,
+                      std::span<const double> values) override;
+
   double Estimate() const override;
 
   const sim::MessageStats& stats() const override;
@@ -234,6 +252,19 @@ class NonMonotonicCounter : public sim::Protocol {
   /// Phase 2's span scan for a multi-update span on a perfect channel
   /// (ProcessBatch hands one-update spans straight to a HYZ counter).
   int64_t ConsumePhase2(int site_id, std::span<const double> values);
+  /// Phase 1's interleaved scan (k > 1, perfect channel).
+  int64_t ScanPhase1(std::span<const int> sites,
+                     std::span<const double> values);
+  /// Per-site scratch of Phase 1's scan. Between calls every slot is at
+  /// rest: budget unknown, nothing taken, not listed.
+  struct ScanSlot {
+    int64_t room = -1;    // silent updates the site absorbs; -1: not queried
+    int64_t taken = 0;    // updates routed to the site and not yet applied
+    int64_t net = 0;      // their sum (every value is ±1)
+    bool listed = false;  // recorded in touched_
+  };
+  /// Slot `slot` is listed in touched_[0, *count) (once).
+  void ListSlot(int slot, int* count);
 
   CounterOptions options_;
   sim::Network network_;
@@ -244,6 +275,13 @@ class NonMonotonicCounter : public sim::Protocol {
   std::unique_ptr<hyz::HyzProtocol> positive_counter_;
   std::unique_ptr<hyz::HyzProtocol> negative_counter_;
   int64_t phase2_switch_time_ = 0;
+
+  // Span-scan scratch, sized at construction so the scans never allocate:
+  // Phase 1's slots_[s] and the sites a call touched, and Phase 2's scan
+  // over the HYZ pair.
+  std::vector<ScanSlot> slots_;
+  std::vector<int> touched_;
+  hyz::SpanScan phase2_scan_;
 
   mutable sim::MessageStats combined_stats_;
 };

@@ -1,6 +1,7 @@
 #include "hyz/hyz_counter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -338,8 +339,66 @@ class HyzProtocol::Coordinator : public sim::CoordinatorNode {
   int64_t rounds_ = 0;
 };
 
+SpanScan::SpanScan(int num_sites, int num_counters)
+    : num_counters_(num_counters),
+      slots_(static_cast<size_t>(num_sites * num_counters)),
+      touched_(slots_.size()) {
+  NMC_CHECK(num_counters == 1 || num_counters == 2);
+}
+
+int64_t SpanScan::Consume(std::span<HyzProtocol* const> counters,
+                          std::span<const int> sites,
+                          std::span<const double> values) {
+  NMC_CHECK_EQ(sites.size(), values.size());
+  NMC_CHECK_EQ(counters.size(), static_cast<size_t>(num_counters_));
+  const int num_counters = num_counters_;
+  const int shift = num_counters - 1;  // index = (site << shift) + counter
+  const int num_slots = static_cast<int>(slots_.size());
+  int touched = 0;
+  int reporter = -1;
+  const size_t n = values.size();
+  size_t i = 0;
+  while (i < n) {
+    const int s = sites[i];
+    const double value = values[i++];
+    NMC_CHECK_EQ(std::fabs(value), 1.0);
+    // The sign bit picks the counter: 0 for +1, 1 for -1. Read off the
+    // bit, not branched on — a drifting stream's signs are close to coin
+    // flips.
+    const int counter = static_cast<int>(std::bit_cast<uint64_t>(value) >> 63);
+    NMC_CHECK_LT(counter, num_counters);
+    const int index = (s << shift) + counter;  // in range iff s is
+    NMC_CHECK_GE(index, 0);
+    NMC_CHECK_LT(index, num_slots);
+    Slot& slot = slots_[static_cast<size_t>(index)];
+    if (slot.room < 0) {
+      slot.room = counters[static_cast<size_t>(counter)]->Headroom(s);
+      touched_[static_cast<size_t>(touched++)] = index;
+    }
+    if (++slot.taken > slot.room) {
+      reporter = index;
+      break;
+    }
+  }
+
+  const auto release = [&](int index) {
+    Slot& slot = slots_[static_cast<size_t>(index)];
+    const int64_t consumed =
+        counters[static_cast<size_t>(index & shift)]->ProcessRun(
+            index >> shift, slot.taken);
+    NMC_CHECK_EQ(consumed, slot.taken);
+    slot = Slot{};
+  };
+  for (int j = 0; j < touched; ++j) {
+    const int index = touched_[static_cast<size_t>(j)];
+    if (index != reporter) release(index);
+  }
+  if (reporter >= 0) release(reporter);
+  return static_cast<int64_t>(i);
+}
+
 HyzProtocol::HyzProtocol(int num_sites, const HyzOptions& options)
-    : network_(num_sites) {
+    : network_(num_sites), span_scan_(num_sites, 1) {
   network_.SetChannel(sim::MakeChannel(options.channel));
   common::Rng seeder(options.seed);
   coordinator_ = std::make_unique<Coordinator>(num_sites, options, &network_);
@@ -371,6 +430,18 @@ int64_t HyzProtocol::ProcessBatch(int site_id, std::span<const double> values) {
     NMC_CHECK_EQ(values[static_cast<size_t>(j)], 1.0);
   }
   return consumed;
+}
+
+int64_t HyzProtocol::ProcessSpan(std::span<const int> sites,
+                                 std::span<const double> values) {
+  NMC_CHECK(!values.empty());
+  NMC_CHECK_EQ(sites.size(), values.size());
+  if (network_.channeled()) return ProcessBatch(sites[0], values.first(1));
+  if (sites.size() == 1 || sites[1] == sites[0]) {
+    return ProcessBatch(sites[0], values.first(LeadingRun(sites)));
+  }
+  HyzProtocol* const self[1] = {this};
+  return span_scan_.Consume(self, sites, values);
 }
 
 int64_t HyzProtocol::ProcessRun(int site_id, int64_t count) {

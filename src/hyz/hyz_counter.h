@@ -61,6 +61,48 @@ struct HyzOptions {
   uint64_t seed = 1;
 };
 
+class HyzProtocol;
+
+/// The interleaved-span scan of every ProcessSpan that feeds HYZ
+/// counters: HyzProtocol's own, and the ±1 pairs of two_monotonic and of
+/// the non-monotonic counter's Phase 2. Between reports every HYZ site
+/// counts on its own state and RNG, so a span is tallied per slot — one
+/// per (site, counter) — against the slot's Headroom until the first
+/// update that makes its site report, then handed over as one ProcessRun
+/// per touched slot, the reporting slot last. The silent runs cannot
+/// message, so the span's only message is its final update's.
+///
+/// A slot's headroom is queried at its first update in the span, the
+/// moment the per-update feed would first touch that HYZ site, so a
+/// sampled site draws its gap exactly when it would have anyway. Asking
+/// earlier could draw a gap that no update of the span uses; another
+/// site's report could then start a new round, discard it and shift that
+/// site's RNG stream.
+class SpanScan {
+ public:
+  /// Slots for `num_sites` sites of each of `num_counters` (1 or 2)
+  /// counters, allocated here once.
+  SpanScan(int num_sites, int num_counters);
+
+  /// Consumes a prefix of the non-empty span (`sites[i]` receives
+  /// `values[i]`) on perfect channels, stopping right after the first
+  /// update that reports; returns the count consumed. With one counter
+  /// every value must be +1; with two, +1 goes to counters[0] and -1 to
+  /// counters[1] as a unit increment.
+  int64_t Consume(std::span<HyzProtocol* const> counters,
+                  std::span<const int> sites, std::span<const double> values);
+
+ private:
+  // At rest between calls: room -1 (not queried), nothing taken.
+  struct Slot {
+    int64_t room = -1;
+    int64_t taken = 0;
+  };
+  int num_counters_;
+  std::vector<Slot> slots_;   // slots_[num_counters * site + counter]
+  std::vector<int> touched_;  // slots a call touched, in first-touch order
+};
+
 /// The randomized monotonic distributed counter of Huang, Yi and Zhang
 /// ("Randomized algorithms for tracking distributed count, frequencies,
 /// and ranks", arXiv:1108.3413), reconstructed from its published
@@ -99,6 +141,13 @@ class HyzProtocol : public sim::Protocol {
   /// returns the count consumed (see the Protocol::ProcessBatch contract).
   int64_t ProcessBatch(int site_id, std::span<const double> values) override;
 
+  /// Feeds an interleaved span (see the Protocol::ProcessSpan contract;
+  /// every value must be +1) through a SpanScan. A span that opens on one
+  /// site hands its whole same-site run to ProcessBatch; a faulty channel
+  /// takes one update per call.
+  int64_t ProcessSpan(std::span<const int> sites,
+                      std::span<const double> values) override;
+
   /// Value-free form of ProcessBatch for callers that already know the
   /// run is `count` unit increments (Phase 2 of the non-monotonic
   /// counter): identical semantics without touching the values.
@@ -115,6 +164,10 @@ class HyzProtocol : public sim::Protocol {
   /// its next coin yet and answers 0, a lower bound: its next increment
   /// may or may not report.
   int64_t Headroom(int site_id);
+
+  /// Whether the network runs a faulty channel, where ProcessRun takes
+  /// one increment per call and Headroom promises nothing.
+  bool channeled() const { return network_.channeled(); }
 
   double Estimate() const override;
 
@@ -144,6 +197,8 @@ class HyzProtocol : public sim::Protocol {
   sim::Network network_;
   std::unique_ptr<Coordinator> coordinator_;
   std::vector<std::unique_ptr<Site>> sites_;
+
+  SpanScan span_scan_;
 };
 
 }  // namespace nmc::hyz

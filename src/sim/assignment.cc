@@ -1,8 +1,18 @@
 #include "sim/assignment.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace nmc::sim {
+
+void AssignmentPolicy::FillSites(int64_t t0, std::span<const double> values,
+                                 std::span<int> out) {
+  NMC_CHECK_EQ(values.size(), out.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = NextSite(t0 + static_cast<int64_t>(i), values[i]);
+  }
+}
 
 RoundRobinAssignment::RoundRobinAssignment(int num_sites)
     : num_sites_(num_sites) {
@@ -11,6 +21,18 @@ RoundRobinAssignment::RoundRobinAssignment(int num_sites)
 
 int RoundRobinAssignment::NextSite(int64_t t, double /*value*/) {
   return static_cast<int>(t % num_sites_);
+}
+
+void RoundRobinAssignment::FillSites(int64_t t0,
+                                     std::span<const double> values,
+                                     std::span<int> out) {
+  NMC_CHECK_EQ(values.size(), out.size());
+  const int num_sites = num_sites_;  // the stores below may alias members
+  int site = static_cast<int>(t0 % num_sites);
+  for (int& s : out) {
+    s = site;
+    site = site + 1 == num_sites ? 0 : site + 1;
+  }
 }
 
 UniformRandomAssignment::UniformRandomAssignment(int num_sites, uint64_t seed)
@@ -32,6 +54,13 @@ int SingleSiteAssignment::NextSite(int64_t /*t*/, double /*value*/) {
   return target_site_;
 }
 
+void SingleSiteAssignment::FillSites(int64_t /*t0*/,
+                                     std::span<const double> values,
+                                     std::span<int> out) {
+  NMC_CHECK_EQ(values.size(), out.size());
+  std::fill(out.begin(), out.end(), target_site_);
+}
+
 BlockCyclicAssignment::BlockCyclicAssignment(int num_sites, int64_t block_size)
     : num_sites_(num_sites), block_size_(block_size) {
   NMC_CHECK_GE(num_sites, 1);
@@ -40,6 +69,20 @@ BlockCyclicAssignment::BlockCyclicAssignment(int num_sites, int64_t block_size)
 
 int BlockCyclicAssignment::NextSite(int64_t t, double /*value*/) {
   return static_cast<int>((t / block_size_) % num_sites_);
+}
+
+void BlockCyclicAssignment::FillSites(int64_t t0,
+                                      std::span<const double> values,
+                                      std::span<int> out) {
+  NMC_CHECK_EQ(values.size(), out.size());
+  int64_t t = t0;
+  for (auto it = out.begin(); it != out.end();) {
+    const int64_t left = block_size_ - t % block_size_;  // rest of t's block
+    const auto len = std::min<int64_t>(left, out.end() - it);
+    std::fill(it, it + len, NextSite(t, 0.0));
+    it += len;
+    t += len;
+  }
 }
 
 SignSplitAssignment::SignSplitAssignment(int num_sites)
@@ -54,6 +97,34 @@ int SignSplitAssignment::NextSite(int64_t /*t*/, double value) {
     return static_cast<int>(positive_count_++ % half);
   }
   return half + static_cast<int>(negative_count_++ % (num_sites_ - half));
+}
+
+void SignSplitAssignment::FillSites(int64_t /*t0*/,
+                                    std::span<const double> values,
+                                    std::span<int> out) {
+  NMC_CHECK_EQ(values.size(), out.size());
+  if (num_sites_ == 1) {
+    std::fill(out.begin(), out.end(), 0);
+    return;
+  }
+  const int half = num_sites_ / 2;
+  // The sites NextSite would pick next for a positive and a negative
+  // update; the counts are brought up to date once, after the span.
+  int up_site = static_cast<int>(positive_count_ % half);
+  int down_site =
+      half + static_cast<int>(negative_count_ % (num_sites_ - half));
+  int64_t positives = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const bool up = values[i] >= 0;
+    out[i] = up ? up_site : down_site;
+    const int up_next = up_site + 1 == half ? 0 : up_site + 1;
+    const int down_next = down_site + 1 == num_sites_ ? half : down_site + 1;
+    up_site = up ? up_next : up_site;
+    down_site = up ? down_site : down_next;
+    positives += up;
+  }
+  positive_count_ += positives;
+  negative_count_ += static_cast<int64_t>(out.size()) - positives;
 }
 
 ZeroCrossingAssignment::ZeroCrossingAssignment(int num_sites)

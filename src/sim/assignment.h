@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/rng.h"
@@ -21,6 +22,12 @@ class AssignmentPolicy {
   /// 0-based). `value` is the update's content, which an adaptive adversary
   /// is allowed to inspect.
   virtual int NextSite(int64_t t, double value) = 0;
+
+  /// Span form of NextSite: out[i] = NextSite(t0 + i, values[i]) for
+  /// every i, called in order (the policies are stateful). Policies with a
+  /// closed form override it to skip the per-update virtual call.
+  virtual void FillSites(int64_t t0, std::span<const double> values,
+                         std::span<int> out);
 };
 
 /// Cycles 0, 1, ..., k-1, 0, ... — an even load-balancer.
@@ -28,6 +35,9 @@ class RoundRobinAssignment : public AssignmentPolicy {
  public:
   explicit RoundRobinAssignment(int num_sites);
   int NextSite(int64_t t, double value) override;
+  /// Increment-and-wrap: one divide per span, not one per update.
+  void FillSites(int64_t t0, std::span<const double> values,
+                 std::span<int> out) override;
 
  private:
   int num_sites_;
@@ -49,6 +59,8 @@ class SingleSiteAssignment : public AssignmentPolicy {
  public:
   SingleSiteAssignment(int num_sites, int target_site);
   int NextSite(int64_t t, double value) override;
+  void FillSites(int64_t t0, std::span<const double> values,
+                 std::span<int> out) override;
 
  private:
   int target_site_;
@@ -60,6 +72,9 @@ class BlockCyclicAssignment : public AssignmentPolicy {
  public:
   BlockCyclicAssignment(int num_sites, int64_t block_size);
   int NextSite(int64_t t, double value) override;
+  /// One divide per block, not one per update.
+  void FillSites(int64_t t0, std::span<const double> values,
+                 std::span<int> out) override;
 
  private:
   int num_sites_;
@@ -74,6 +89,10 @@ class SignSplitAssignment : public AssignmentPolicy {
  public:
   explicit SignSplitAssignment(int num_sites);
   int NextSite(int64_t t, double value) override;
+  /// Increment-and-wrap within each half, selected without a branch on
+  /// the sign: no divide per update.
+  void FillSites(int64_t t0, std::span<const double> values,
+                 std::span<int> out) override;
 
  private:
   int num_sites_;

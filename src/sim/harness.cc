@@ -17,14 +17,29 @@ struct PumpState {
   int64_t t = 0;               // items consumed so far
   int64_t curve_stride = 0;    // 0 = no curve
   double estimate = 0.0;       // protocol estimate after the last update
+  std::vector<int> sites;      // psi's choices for the current chunk
 };
 
-/// Pumps one contiguous chunk of the stream. Same-site runs go through
-/// Protocol::ProcessBatch; the tracking invariant for a run's silent
-/// prefix is checked against the cached estimate (the ProcessBatch
-/// contract guarantees it cannot have changed), so the virtual Estimate()
-/// call is paid once per run, not once per item.
-/// `num_sites` is protocol->num_sites(), hoisted by the callers: the
+/// Aborts unless every site lies in [0, num_sites). One branch-free pass;
+/// the per-entry checks run only to name the offending value.
+void CheckSites(std::span<const int> sites, int num_sites) {
+  const auto k = static_cast<unsigned>(num_sites);
+  bool out_of_range = false;
+  for (const int s : sites) out_of_range |= static_cast<unsigned>(s) >= k;
+  if (!out_of_range) return;
+  for (const int s : sites) {
+    NMC_CHECK_GE(s, 0);
+    NMC_CHECK_LT(s, num_sites);
+  }
+}
+
+/// Pumps one contiguous chunk of the stream: fills the chunk's site array
+/// once (NextSite exactly once per t, in order), then hands the rest of
+/// the chunk to Protocol::ProcessSpan until it is consumed. The tracking
+/// invariant for a call's silent prefix is checked against the cached
+/// estimate (the ProcessSpan contract guarantees it cannot have changed),
+/// so the virtual Estimate() call is paid once per call, not once per
+/// item. `num_sites` is protocol->num_sites(), hoisted by the callers: the
 /// virtual call is loop-invariant but the compiler cannot prove it, and
 /// PumpChunk runs once per batch.
 void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
@@ -32,129 +47,76 @@ void PumpChunk(std::span<const double> chunk, AssignmentPolicy* psi,
                const TrackingOptions& options, PumpState* state) {
   const int64_t len = static_cast<int64_t>(chunk.size());
   const bool record_curve = state->curve_stride > 0;
+  const std::span<int> sites(state->sites.data(), chunk.size());
+  // A single-site protocol keeps the zeros the buffer was built with.
+  if (num_sites > 1) {
+    psi->FillSites(state->t, chunk, sites);
+    CheckSites(sites, num_sites);
+  }
 
-  // The assignment policies are stateful (and may consume their own RNG),
-  // so NextSite must be called exactly once per t, in order. Run detection
-  // uses a one-step lookahead rather than buffering the chunk's
-  // assignments: the site that terminates a run is carried over as the
-  // next run's site.
-  const auto fetch_site = [&](int64_t idx) {
-    const int s =
-        psi->NextSite(state->t + idx, chunk[static_cast<size_t>(idx)]);
-    NMC_CHECK_GE(s, 0);
-    NMC_CHECK_LT(s, num_sites);
-    return s;
-  };
-
-  int64_t i = 0;
-  int site = num_sites > 1 ? fetch_site(0) : 0;
-  while (i < len) {
-    int64_t run = len - i;
-    int next_site = site;
-    if (num_sites > 1) {
-      run = 1;
-      while (i + run < len) {
-        next_site = fetch_site(i + run);
-        if (next_site != site) break;
-        ++run;
+  for (int64_t pos = 0; pos < len;) {
+    // Messages before the call: a curve point landing in its silent
+    // prefix must not count the message its final update sends (the
+    // per-update pump would not have sent it yet at that step). Probed
+    // only when a curve is recorded — it is the sole consumer, and the
+    // stats() call is not free for protocols that aggregate.
+    const int64_t messages_before =
+        record_curve ? protocol->stats().total() : 0;
+    const int64_t consumed = protocol->ProcessSpan(
+        std::span<const int>(sites).subspan(static_cast<size_t>(pos)),
+        chunk.subspan(static_cast<size_t>(pos)));
+    NMC_CHECK_GE(consumed, 1);
+    NMC_CHECK_LE(consumed, len - pos);
+    if (!record_curve && consumed >= 8) {
+      // Vectorized invariant check over the call's silent prefix: the
+      // estimate is frozen there (ProcessSpan contract), so the j-loop
+      // below degenerates to a prefix-sum scan against a constant —
+      // exactly CheckUnitPrefix. The kernel only accepts ±1 runs with an
+      // integer running sum (where its regrouped additions are bit-exact),
+      // and mirrors the loop's violation / max-rel-error updates
+      // operation for operation, so TrackingResult is bit-identical
+      // whether or not this path fires.
+      common::PrefixCheckResult prefix;
+      if (common::CheckUnitPrefix(
+              chunk.subspan(static_cast<size_t>(pos),
+                            static_cast<size_t>(consumed - 1)),
+              state->sum, state->estimate, options.epsilon,
+              kTrackingAbsoluteSlack, options.rel_error_floor,
+              state->result.max_rel_error, &prefix)) {
+        state->sum = prefix.final_sum;
+        state->result.violation_steps += prefix.violations;
+        state->result.max_rel_error =
+            std::max(state->result.max_rel_error, prefix.max_rel_error);
+        // The call's final update is the one that may have messaged:
+        // refresh the estimate and check it the scalar way.
+        state->sum += chunk[static_cast<size_t>(pos + consumed - 1)];
+        state->estimate = protocol->Estimate();
+        CheckTrackingStep(state->estimate, state->sum, options.epsilon,
+                          options.rel_error_floor,
+                          &state->result.violation_steps,
+                          &state->result.max_rel_error);
+        pos += consumed;
+        continue;
       }
     }
-
-    if (run == 1) {
-      // Single-update run (k > 1 under an alternating assignment): the
-      // batch wrapper buys nothing here, and its bookkeeping is
-      // comparable to a cheap protocol's own per-update cost — call the
-      // per-update entry point directly. Semantically identical to
-      // ProcessBatch on a one-element span by the Protocol contract.
-      const double value = chunk[static_cast<size_t>(i)];
-      protocol->ProcessUpdate(site, value);
-      state->sum += value;
-      state->estimate = protocol->Estimate();
+    for (int64_t j = 0; j < consumed; ++j) {
+      state->sum += chunk[static_cast<size_t>(pos + j)];
+      if (j == consumed - 1) state->estimate = protocol->Estimate();
       CheckTrackingStep(state->estimate, state->sum, options.epsilon,
                         options.rel_error_floor,
                         &state->result.violation_steps,
                         &state->result.max_rel_error);
       if (record_curve) {
-        const int64_t done = state->t + i + 1;
+        const int64_t done = state->t + pos + j + 1;
         if (done % state->curve_stride == 0 || done == state->result.n) {
-          state->result.curve.push_back(
-              CurvePoint{done, protocol->stats().total(), state->sum,
-                         state->estimate});
+          state->result.curve.push_back(CurvePoint{
+              done,
+              j == consumed - 1 ? protocol->stats().total() : messages_before,
+              state->sum, state->estimate});
         }
       }
-      ++i;
-      site = next_site;
-      continue;
     }
-
-    int64_t pos = i;
-    while (pos < i + run) {
-      // Messages before the run: a curve point landing in the run's silent
-      // prefix must not count the message its final update sends (the
-      // per-update pump would not have sent it yet at that step). Probed
-      // only when a curve is recorded — it is the sole consumer, and the
-      // stats() call is not free for protocols that aggregate.
-      const int64_t messages_before =
-          record_curve ? protocol->stats().total() : 0;
-      const int64_t consumed =
-          protocol->ProcessBatch(site, chunk.subspan(static_cast<size_t>(pos),
-                                                     static_cast<size_t>(
-                                                         i + run - pos)));
-      NMC_CHECK_GE(consumed, 1);
-      NMC_CHECK_LE(consumed, i + run - pos);
-      if (!record_curve && consumed >= 8) {
-        // Vectorized invariant check over the run's silent prefix: the
-        // estimate is frozen there (ProcessBatch contract), so the j-loop
-        // below degenerates to a prefix-sum scan against a constant —
-        // exactly CheckUnitPrefix. The kernel only accepts ±1 runs with
-        // an integer running sum (where its regrouped additions are
-        // bit-exact), and mirrors the loop's violation / max-rel-error
-        // updates operation for operation, so TrackingResult is
-        // bit-identical whether or not this path fires.
-        common::PrefixCheckResult prefix;
-        if (common::CheckUnitPrefix(
-                chunk.subspan(static_cast<size_t>(pos),
-                              static_cast<size_t>(consumed - 1)),
-                state->sum, state->estimate, options.epsilon,
-                kTrackingAbsoluteSlack, options.rel_error_floor,
-                state->result.max_rel_error, &prefix)) {
-          state->sum = prefix.final_sum;
-          state->result.violation_steps += prefix.violations;
-          state->result.max_rel_error =
-              std::max(state->result.max_rel_error, prefix.max_rel_error);
-          // The run's final update is the one that may have messaged:
-          // refresh the estimate and check it the scalar way.
-          state->sum += chunk[static_cast<size_t>(pos + consumed - 1)];
-          state->estimate = protocol->Estimate();
-          CheckTrackingStep(state->estimate, state->sum, options.epsilon,
-                            options.rel_error_floor,
-                            &state->result.violation_steps,
-                            &state->result.max_rel_error);
-          pos += consumed;
-          continue;
-        }
-      }
-      for (int64_t j = 0; j < consumed; ++j) {
-        state->sum += chunk[static_cast<size_t>(pos + j)];
-        if (j == consumed - 1) state->estimate = protocol->Estimate();
-        CheckTrackingStep(state->estimate, state->sum, options.epsilon,
-                          options.rel_error_floor,
-                          &state->result.violation_steps,
-                          &state->result.max_rel_error);
-        if (state->curve_stride > 0) {
-          const int64_t done = state->t + pos + j + 1;
-          if (done % state->curve_stride == 0 || done == state->result.n) {
-            state->result.curve.push_back(CurvePoint{
-                done,
-                j == consumed - 1 ? protocol->stats().total() : messages_before,
-                state->sum, state->estimate});
-          }
-        }
-      }
-      pos += consumed;
-    }
-    i += run;
-    site = next_site;
+    pos += consumed;
   }
   state->t += len;
 }
@@ -167,6 +129,7 @@ PumpState InitPumpState(int64_t n, Protocol* protocol,
 
   PumpState state;
   state.result.n = n;
+  state.sites.assign(static_cast<size_t>(options.batch_size), 0);
   state.estimate = protocol->Estimate();
   state.curve_stride =
       options.curve_points > 0 ? std::max<int64_t>(1, n / options.curve_points)

@@ -27,12 +27,13 @@ struct TrackingOptions {
   /// roughly evenly spaced steps — the raw series behind "figures".
   int curve_points = 0;
 
-  /// Stream items offered per Protocol::ProcessBatch run (>= 1). Larger
-  /// batches let protocols with a fast-forward path consume whole
-  /// inter-report runs per virtual call; 1 reproduces the per-update pump.
-  /// Every field of TrackingResult is bit-identical across batch sizes
-  /// (the ProcessBatch contract keeps the estimate constant over a run's
-  /// silent prefix, and skip-sampler gap state persists across calls).
+  /// Stream items per pump chunk (>= 1): the span offered to
+  /// Protocol::ProcessSpan. Larger chunks let protocols with a
+  /// fast-forward path consume whole inter-report stretches per virtual
+  /// call; 1 reproduces the per-update pump. Every field of
+  /// TrackingResult is bit-identical across batch sizes (the ProcessSpan
+  /// contract keeps the estimate constant over a call's silent prefix,
+  /// and skip-sampler gap state persists across calls).
   int batch_size = 256;
 };
 
@@ -87,11 +88,13 @@ struct TrackingResult {
 ///
 /// Drives `stream` through `protocol`, assigning the t-th update to site
 /// psi->NextSite(t, value), and checks the coordinator's estimate against
-/// the exact running sum after every update. Updates are pumped in
-/// contiguous same-site runs of up to options.batch_size items via
-/// Protocol::ProcessBatch; for a single-site protocol the assignment
-/// policy is short-circuited to site 0 (every policy maps to 0 when
-/// k == 1, and none observes protocol state).
+/// the exact running sum after every update. Each chunk of up to
+/// options.batch_size items gets its sites from one psi->FillSites call
+/// and is pumped through repeated Protocol::ProcessSpan calls, each
+/// consuming a prefix that ends no later than the next update that
+/// communicates, whatever sites its updates go to. For a single-site
+/// protocol the assignment policy is short-circuited to site 0 (every
+/// policy maps to 0 when k == 1, and none observes protocol state).
 TrackingResult RunTracking(const std::vector<double>& stream,
                            AssignmentPolicy* psi, Protocol* protocol,
                            const TrackingOptions& options);

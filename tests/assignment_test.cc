@@ -16,6 +16,62 @@ TEST(RoundRobinTest, Cycles) {
   EXPECT_EQ(psi.NextSite(301, -1.0), 1);
 }
 
+TEST(RoundRobinTest, FillSitesMatchesNextSite) {
+  // The increment-and-wrap span form against the closed form, from
+  // offsets that start mid-cycle and far out in t.
+  RoundRobinAssignment psi(5);
+  const std::vector<double> values(23, 1.0);
+  for (const int64_t t0 : {int64_t{0}, int64_t{3}, int64_t{1} << 40}) {
+    std::vector<int> sites(values.size(), -1);
+    psi.FillSites(t0, values, sites);
+    for (size_t i = 0; i < sites.size(); ++i) {
+      EXPECT_EQ(sites[i], psi.NextSite(t0 + static_cast<int64_t>(i), 1.0))
+          << "t0=" << t0 << " i=" << i;
+    }
+  }
+}
+
+TEST(AssignmentTest, FillSitesMatchesNextSiteForEveryPolicy) {
+  // Every named policy's span form, overridden or not, against a fresh
+  // twin fed one NextSite at a time, over consecutive spans whose
+  // boundaries fall mid-block and mid-cycle.
+  const std::vector<double> values = {1,  -1, -1, 1, 1,  1, -1, -1, -1, -1,
+                                      1,  1,  -1, 1, -1, 1, 1,  1,  -1, 1,
+                                      -1, -1, 1,  1, 1,  -1, -1};
+  for (const char* name : {"round_robin", "random", "single", "block",
+                           "sign_split", "zero_crossing"}) {
+    for (const int k : {1, 3, 4}) {
+      auto spans = MakeAssignment(name, k, 9);
+      auto steps = MakeAssignment(name, k, 9);
+      int64_t t = 60;  // straddles a 64-update block at "block"
+      for (const size_t len : {size_t{1}, size_t{7}, size_t{19}}) {
+        const std::span<const double> chunk(values.data(), len);
+        std::vector<int> sites(len, -1);
+        spans->FillSites(t, chunk, sites);
+        for (size_t i = 0; i < len; ++i) {
+          EXPECT_EQ(sites[i], steps->NextSite(t, chunk[i]))
+              << name << " k=" << k << " t=" << t;
+          ++t;
+        }
+      }
+    }
+  }
+}
+
+TEST(AssignmentTest, DefaultFillSitesCallsNextSiteInOrder) {
+  // Stateful policies see every (t, value) once, in order: the span form
+  // is the NextSite sequence.
+  auto spans = MakeAssignment("zero_crossing", 3, 1);
+  auto steps = MakeAssignment("zero_crossing", 3, 1);
+  const std::vector<double> values = {1, -1, -1, 1, 1, 1, -1, -1, -1, -1};
+  std::vector<int> sites(values.size());
+  spans->FillSites(7, values, sites);
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(sites[i], steps->NextSite(7 + static_cast<int64_t>(i), values[i]))
+        << i;
+  }
+}
+
 TEST(SingleSiteTest, AlwaysTarget) {
   SingleSiteAssignment psi(4, 2);
   for (int64_t t = 0; t < 20; ++t) EXPECT_EQ(psi.NextSite(t, 1.0), 2);

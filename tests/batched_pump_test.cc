@@ -1,8 +1,8 @@
-// The ProcessBatch contract in one suite: for any stream slicing the
-// batched pump must reproduce the per-update pump bit for bit — same
-// messages, same violations, same curve — in both sampler modes, and the
-// chunked stream sources must emit exactly the value sequences of their
-// vector counterparts.
+// The ProcessBatch and ProcessSpan contracts in one suite: for any stream
+// slicing and any assignment policy the batched pump must reproduce the
+// per-update pump bit for bit — same messages, same violations, same
+// curve — in both sampler modes, and the chunked stream sources must emit
+// exactly the value sequences of their vector counterparts.
 
 #include <algorithm>
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/exact_sync.h"
+#include "baselines/two_monotonic.h"
 #include "common/simd_dispatch.h"
 #include "core/nonmonotonic_counter.h"
 #include "hyz/hyz_counter.h"
@@ -170,6 +171,238 @@ TEST(BatchedPumpTest, CounterPhase2SpanScanKeepsSampledDrawOrder) {
     }
   }
   EXPECT_EQ(batched.stats().total(), per_update.stats().total());
+}
+
+// ---- Interleaved spans: ProcessSpan is unobservable ----------------------
+
+// The sim pump hands whole multi-site chunks to ProcessSpan, which the
+// counter scans per site (Phase 1) and per (site, sign) (Phase 2). Every
+// assignment policy, at several k, in every drift regime, must reproduce
+// the per-update pump (batch 1) bit for bit, curve included. The
+// half-unit prefix leaves Phase-1 totals fractional, so later ±1 spans hit
+// the scan's exact-tally refusal.
+TEST(BatchedPumpTest, CounterInterleavedSpansMatchPerUpdate) {
+  const int64_t n = 1 << 14;
+  enum class Regime { kZeroDrift, kHalfUnitPrefix, kDriftDeterministic,
+                      kDriftSampled };
+  for (const Regime regime :
+       {Regime::kZeroDrift, Regime::kHalfUnitPrefix,
+        Regime::kDriftDeterministic, Regime::kDriftSampled}) {
+    const bool drift = regime == Regime::kDriftDeterministic ||
+                       regime == Regime::kDriftSampled;
+    auto stream = streams::BernoulliStream(n, drift ? 0.55 : 0.0, 515);
+    if (regime == Regime::kHalfUnitPrefix) {
+      for (size_t t = 0; t < 64; ++t) stream[t] *= 0.5;
+    }
+    for (const char* policy : {"round_robin", "random", "single", "block",
+                               "sign_split", "zero_crossing"}) {
+      for (int num_sites : {3, 4, 16}) {
+        core::CounterOptions options = testing::DefaultOptions(n, 0.2, 616);
+        if (drift) {
+          options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+          options.phase2_auto_hyz_mode = regime == Regime::kDriftDeterministic;
+        }
+        const auto run = [&](int batch_size) {
+          core::NonMonotonicCounter counter(num_sites, options);
+          auto psi = sim::MakeAssignment(policy, num_sites, 717);
+          sim::TrackingOptions tracking;
+          tracking.epsilon = options.epsilon;
+          tracking.curve_points = 16;
+          tracking.batch_size = batch_size;
+          const auto result =
+              sim::RunTracking(stream, psi.get(), &counter, tracking);
+          EXPECT_EQ(counter.diagnostics().phase2_active, drift);
+          return result;
+        };
+        const auto reference = run(1);
+        for (int batch : {7, 256, 1 << 14}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "regime=" << static_cast<int>(regime)
+                       << " policy=" << policy << " sites=" << num_sites
+                       << " batch=" << batch);
+          ExpectSameResult(reference, run(batch));
+        }
+      }
+    }
+  }
+}
+
+/// Feeds `values` to `sites` through ProcessSpan in chunks of `chunk`,
+/// and the consumed updates one at a time to `per_update`, asserting equal
+/// estimates after every call.
+void FeedSpansInLockstep(sim::Protocol* spans, sim::Protocol* per_update,
+                         std::span<const int> sites,
+                         std::span<const double> values, size_t chunk) {
+  for (size_t pos = 0; pos < values.size();) {
+    const size_t len = std::min(chunk, values.size() - pos);
+    const int64_t consumed =
+        spans->ProcessSpan(sites.subspan(pos, len), values.subspan(pos, len));
+    ASSERT_GE(consumed, 1);
+    ASSERT_LE(consumed, static_cast<int64_t>(len));
+    for (int64_t j = 0; j < consumed; ++j) {
+      const size_t t = pos + static_cast<size_t>(j);
+      per_update->ProcessUpdate(sites[t], values[t]);
+    }
+    pos += static_cast<size_t>(consumed);
+    ASSERT_EQ(spans->Estimate(), per_update->Estimate()) << "at " << pos;
+  }
+}
+
+TEST(BatchedPumpTest, CounterInterleavedScanKeepsSampledDrawOrder) {
+  // The per-(site, sign) form of CounterPhase2SpanScanKeepsSampledDrawOrder:
+  // sites 0 and 1 take long interleaved - spans whose reports keep
+  // starting new rounds of the - counter, while site 2 gets nothing. A
+  // scan that queried every slot's headroom up front would draw a gap for
+  // (2, -) in each call and lose it at the next round change; the mixed
+  // spans that follow feed site 2 and expose its - RNG stream.
+  const int64_t n = 1 << 15;
+  core::CounterOptions options = testing::DefaultOptions(n, 0.1, 727);
+  options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+  options.phase2_auto_hyz_mode = false;  // sampled HYZ
+  core::NonMonotonicCounter spans(3, options);
+  core::NonMonotonicCounter per_update(3, options);
+  const auto warmup = streams::BernoulliStream(n, 0.55, 728);
+  for (size_t t = 0; t < warmup.size(); ++t) {
+    spans.ProcessUpdate(static_cast<int>(t % 3), warmup[t]);
+    per_update.ProcessUpdate(static_cast<int>(t % 3), warmup[t]);
+  }
+  ASSERT_TRUE(spans.diagnostics().phase2_active);
+
+  const std::vector<double> minus_run(1 << 15, -1.0);
+  std::vector<int> two_sites(minus_run.size());
+  for (size_t t = 0; t < two_sites.size(); ++t) {
+    two_sites[t] = static_cast<int>(t % 2);
+  }
+  const auto mixed = streams::BernoulliStream(1 << 12, 0.0, 729);
+  std::vector<int> three_sites(mixed.size());
+  for (size_t t = 0; t < three_sites.size(); ++t) {
+    three_sites[t] = static_cast<int>(t % 3);
+  }
+  FeedSpansInLockstep(&spans, &per_update, two_sites, minus_run, 256);
+  FeedSpansInLockstep(&spans, &per_update, three_sites, mixed, 256);
+  EXPECT_EQ(spans.stats().total(), per_update.stats().total());
+}
+
+TEST(BatchedPumpTest, HyzInterleavedScanKeepsSampledDrawOrder) {
+  // The monotonic form: sites 0 and 1 alternate and site 2 takes only the
+  // last update of every 256, so most spans reach a report before they
+  // reach site 2. A scan that queried site 2's headroom before its update
+  // would draw a gap that a round change at that report discards.
+  hyz::HyzOptions options;
+  options.epsilon = 0.1;
+  options.seed = 747;
+  hyz::HyzProtocol spans(3, options);
+  hyz::HyzProtocol per_update(3, options);
+  const std::vector<double> ones(1 << 16, 1.0);
+  std::vector<int> sites(ones.size());
+  for (size_t t = 0; t < sites.size(); ++t) {
+    sites[t] = t % 256 == 255 ? 2 : static_cast<int>(t % 2);
+  }
+  FeedSpansInLockstep(&spans, &per_update, sites, ones, 256);
+  EXPECT_EQ(spans.stats().total(), per_update.stats().total());
+  EXPECT_GT(spans.rounds(), 4);
+}
+
+TEST(BatchedPumpTest, CounterFaultyChannelSpansConsumeOneUpdate) {
+  // Delayed delivery breaks the silent-prefix assumption, so under a
+  // channel model every ProcessSpan call takes exactly one update, in both
+  // phases, whether the span opens on one site or several.
+  const int64_t n = 1 << 14;
+  core::CounterOptions options = testing::DefaultOptions(n, 0.2, 737);
+  options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+  options.channel.kind = sim::ChannelConfig::Kind::kDelay;
+  options.channel.delay_probability = 0.2;
+  options.channel.max_delay = 8;
+  options.channel.seed = 738;
+  core::NonMonotonicCounter counter(3, options);
+  const auto stream = streams::BernoulliStream(n, 0.55, 739);
+  std::vector<int> sites(stream.size());
+  for (size_t t = 0; t < sites.size(); ++t) {
+    // Interleaved stretches alternating with same-site runs.
+    sites[t] = static_cast<int>((t / 32) % 2 == 0 ? t % 3 : (t / 32) % 3);
+  }
+  const std::span<const int> all_sites(sites);
+  const std::span<const double> all_values(stream);
+  for (size_t t = 0; t < stream.size(); ++t) {
+    const size_t len = std::min<size_t>(64, stream.size() - t);
+    ASSERT_EQ(counter.ProcessSpan(all_sites.subspan(t, len),
+                                  all_values.subspan(t, len)),
+              1)
+        << "at " << t;
+  }
+  EXPECT_TRUE(counter.diagnostics().phase2_active);
+}
+
+TEST(BatchedPumpTest, HyzFaultyChannelSpansConsumeOneUpdate) {
+  // The same rule for the two protocols that scan spans over HYZ
+  // counters: standalone HYZ and two_monotonic's ±1 pair.
+  sim::ChannelConfig channel;
+  channel.kind = sim::ChannelConfig::Kind::kDelay;
+  channel.delay_probability = 0.2;
+  channel.max_delay = 8;
+  channel.seed = 757;
+  hyz::HyzOptions options;
+  options.epsilon = 0.1;
+  options.seed = 758;
+  options.channel = channel;
+  hyz::HyzProtocol hyz(3, options);
+  baselines::TwoMonotonicProtocol pair(3, 0.1, 1e-6, 759, channel);
+  const std::vector<double> ones(1 << 12, 1.0);
+  const auto signs = streams::BernoulliStream(1 << 12, 0.0, 760);
+  std::vector<int> sites(ones.size());
+  for (size_t t = 0; t < sites.size(); ++t) {
+    sites[t] = static_cast<int>((t / 32) % 2 == 0 ? t % 3 : (t / 32) % 3);
+  }
+  const std::span<const int> all_sites(sites);
+  for (size_t t = 0; t < sites.size(); ++t) {
+    const size_t len = std::min<size_t>(64, sites.size() - t);
+    ASSERT_EQ(hyz.ProcessSpan(all_sites.subspan(t, len),
+                              std::span<const double>(ones).subspan(t, len)),
+              1)
+        << "hyz at " << t;
+    ASSERT_EQ(pair.ProcessSpan(all_sites.subspan(t, len),
+                               std::span<const double>(signs).subspan(t, len)),
+              1)
+        << "two_monotonic at " << t;
+  }
+}
+
+// Records every (t, value) the pump asks about, then answers round-robin.
+class RecordingAssignment final : public sim::AssignmentPolicy {
+ public:
+  explicit RecordingAssignment(int num_sites) : num_sites_(num_sites) {}
+
+  int NextSite(int64_t t, double value) override {
+    seen_t_.push_back(t);
+    seen_values_.push_back(value);
+    return static_cast<int>(t % num_sites_);
+  }
+
+  const std::vector<int64_t>& seen_t() const { return seen_t_; }
+  const std::vector<double>& seen_values() const { return seen_values_; }
+
+ private:
+  int num_sites_;
+  std::vector<int64_t> seen_t_;
+  std::vector<double> seen_values_;
+};
+
+TEST(BatchedPumpTest, PumpCallsNextSiteOncePerUpdateInOrder) {
+  const int64_t n = 1000;  // not a multiple of the batch: ragged last chunk
+  const auto stream = streams::BernoulliStream(n, 0.0, 747);
+  for (int batch : {1, 7, 256}) {
+    core::NonMonotonicCounter counter(3, testing::DefaultOptions(n, 0.2, 748));
+    RecordingAssignment psi(3);
+    sim::TrackingOptions tracking;
+    tracking.epsilon = 0.2;
+    tracking.batch_size = batch;
+    sim::RunTracking(stream, &psi, &counter, tracking);
+    ASSERT_EQ(psi.seen_t().size(), stream.size()) << "batch=" << batch;
+    for (size_t t = 0; t < stream.size(); ++t) {
+      ASSERT_EQ(psi.seen_t()[t], static_cast<int64_t>(t)) << "batch=" << batch;
+    }
+    EXPECT_EQ(psi.seen_values(), stream) << "batch=" << batch;
+  }
 }
 
 // ---- SIMD dispatch is unobservable in results ----------------------------

@@ -4,6 +4,7 @@
 // protocols interchangeably — and that anything newly registered is held
 // to the same contracts automatically.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -183,6 +184,45 @@ TEST_P(ConformanceTest, ProcessBatchMatchesPerUpdateExecution) {
         << s.name << " after run ending at " << base + kRun;
   }
   EXPECT_EQ(per_update->stats().total(), batched->stats().total()) << s.name;
+}
+
+/// The ProcessSpan contract: feeding mixed-site spans — interleaved
+/// stretches, same-site runs and the switches between them — through
+/// ProcessSpan (honoring its consume-a-prefix return) must be bit-identical
+/// to feeding the same updates one at a time. Protocols without an
+/// override exercise the base-class default.
+TEST_P(ConformanceTest, ProcessSpanMatchesPerUpdateExecution) {
+  const auto s = spec();
+  for (int k : {1, 3}) {
+    auto per_update = Make(s, k, 35);
+    auto spans = Make(s, k, 35);
+    const auto stream = StreamFor(s, 2048, 23);
+    std::vector<int> sites(stream.size());
+    for (size_t t = 0; t < sites.size(); ++t) {
+      // 40-update interleaved stretches alternate with 40-update runs.
+      const size_t block = t / 40;
+      sites[t] = static_cast<int>((block % 2 == 0 ? t : block) % 3) % k;
+    }
+    const std::span<const int> all_sites(sites);
+    const std::span<const double> all_values(stream);
+    constexpr size_t kChunk = 96;
+    for (size_t pos = 0; pos < stream.size();) {
+      const size_t len = std::min(kChunk, stream.size() - pos);
+      const int64_t consumed = spans->ProcessSpan(
+          all_sites.subspan(pos, len), all_values.subspan(pos, len));
+      ASSERT_GE(consumed, 1) << s.name;
+      ASSERT_LE(consumed, static_cast<int64_t>(len)) << s.name;
+      for (int64_t j = 0; j < consumed; ++j) {
+        const size_t t = pos + static_cast<size_t>(j);
+        per_update->ProcessUpdate(sites[t], stream[t]);
+      }
+      pos += static_cast<size_t>(consumed);
+      ASSERT_EQ(per_update->Estimate(), spans->Estimate())
+          << s.name << " k=" << k << " after " << pos << " updates";
+    }
+    EXPECT_EQ(per_update->stats().total(), spans->stats().total())
+        << s.name << " k=" << k;
+  }
 }
 
 /// Fault-machinery neutrality: a registered protocol built with an

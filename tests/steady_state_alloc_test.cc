@@ -10,12 +10,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/nonmonotonic_counter.h"
 #include "sim/assignment.h"
+#include "sim/harness.h"
+#include "sim/stream_source.h"
 #include "streams/bernoulli.h"
 
 namespace {
@@ -131,6 +134,65 @@ TEST(SteadyStateAllocTest, DelayChannelPumpIsAllocationFreeAfterWarmup) {
   }
   EXPECT_EQ(g_allocations - before, 0);
   EXPECT_GT(counter.stats().delayed, 0) << "the delayed queue never filled";
+}
+
+/// Serves a materialized stream chunk by chunk and snapshots the
+/// allocation counter when the chunk holding item `warmup` is requested and
+/// again when the stream runs out: everything between is steady state.
+class SpyingSource final : public sim::StreamSource {
+ public:
+  SpyingSource(const std::vector<double>& stream, int64_t warmup)
+      : inner_(stream), warmup_(warmup) {}
+
+  int64_t length() const override { return inner_.length(); }
+
+  int64_t FillChunk(std::span<double> out) override {
+    if (produced_ <= warmup_ && warmup_ < produced_ + static_cast<int64_t>(
+                                                         out.size())) {
+      at_warmup_ = g_allocations;
+    }
+    const int64_t filled = inner_.FillChunk(out);
+    if (filled == 0) at_end_ = g_allocations;
+    produced_ += filled;
+    return filled;
+  }
+
+  int64_t steady_state_allocations() const { return at_end_ - at_warmup_; }
+
+ private:
+  sim::SpanSource inner_;
+  int64_t warmup_;
+  int64_t produced_ = 0;
+  int64_t at_warmup_ = -1;
+  int64_t at_end_ = -1;
+};
+
+TEST(SteadyStateAllocTest, InterleavedDriftPumpIsAllocationFreeAfterWarmup) {
+  // Round-robin spans at k = 4 through the tracking pump, across the
+  // Phase-2 switch: the pump's site buffer and the counter's span-scan
+  // slots are sized before the first chunk, so neither Phase 1's per-site
+  // scan nor Phase 2's per-(site, sign) scan may touch the allocator once
+  // the HYZ pair is built and its queues have grown.
+  const int64_t n = 1 << 19;
+  const int k = 4;
+  const auto stream = streams::BernoulliStream(n, 0.2, 55);
+  core::CounterOptions options;
+  options.epsilon = 0.1;
+  options.horizon_n = n;
+  options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+  options.seed = 57;
+  core::NonMonotonicCounter counter(k, options);
+  sim::RoundRobinAssignment psi(k);
+  const int64_t warmup = n / 2;
+  SpyingSource source(stream, warmup);
+  sim::TrackingOptions tracking;
+  tracking.epsilon = options.epsilon;
+  const auto result = sim::RunTracking(&source, &psi, &counter, tracking);
+  ASSERT_EQ(result.n, n);
+  ASSERT_TRUE(counter.diagnostics().phase2_active);
+  ASSERT_LT(counter.diagnostics().phase2_switch_time, warmup / 2)
+      << "warm-up must cover the switch and the first HYZ rounds";
+  EXPECT_EQ(source.steady_state_allocations(), 0);
 }
 
 }  // namespace

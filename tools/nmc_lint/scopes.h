@@ -86,8 +86,8 @@ inline bool InModeledConcurrencyScope(const std::string& path) {
 /// Per-update protocol entry points (the transcendental rule's direct
 /// scope).
 inline constexpr const char* kPerUpdateEntryPoints[] = {
-    "OnLocalUpdate", "ProcessUpdate", "ProcessBatch", "ProcessRun",
-    "ConsumeRun"};
+    "OnLocalUpdate", "ProcessUpdate", "ProcessBatch", "ProcessSpan",
+    "ProcessRun",    "ConsumeRun"};
 
 /// The per-update entry points plus the network delivery machinery they
 /// drive — everything executed once (or more) per stream update. These are
@@ -95,11 +95,11 @@ inline constexpr const char* kPerUpdateEntryPoints[] = {
 /// transcendental anywhere in a call chain starting here is paid O(n)
 /// times per trial.
 inline constexpr const char* kHotPathEntryPoints[] = {
-    "OnLocalUpdate", "ProcessUpdate",        "ProcessBatch",
-    "ProcessRun",    "ConsumeRun",           "DeliverAll",
-    "Route",         "BeginTickSlow",        "SendToCoordinator",
-    "SendToSite",    "Broadcast",            "OnSiteMessage",
-    "OnCoordinatorMessage"};
+    "OnLocalUpdate",     "ProcessUpdate", "ProcessBatch",
+    "ProcessSpan",       "ProcessRun",    "ConsumeRun",
+    "DeliverAll",        "Route",         "BeginTickSlow",
+    "SendToCoordinator", "SendToSite",    "Broadcast",
+    "OnSiteMessage",     "OnCoordinatorMessage"};
 
 /// Classes whose member functions root the reentrancy audit
 /// (NO_STATIC_LOCAL_IN_REENTRANT): the seams the threaded runtime calls
