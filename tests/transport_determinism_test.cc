@@ -8,6 +8,7 @@
 // moved — which invalidates both the perf trajectory and the
 // linearizability check's ground truth.
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -18,7 +19,9 @@
 #include "core/nonmonotonic_counter.h"
 #include "registry/builtin.h"
 #include "sim/assignment.h"
+#include "sim/channel.h"
 #include "sim/harness.h"
+#include "sim/network.h"
 #include "sim/registry.h"
 #include "streams/adversarial.h"
 #include "streams/bernoulli.h"
@@ -216,6 +219,220 @@ TEST(TransportDeterminismTest, PerCoinSbcPinned) {
       RunCounter(options, 4, stream, &diagnostics);
   EXPECT_GT(diagnostics.sbc_syncs, 0);
   ExpectGolden(result, Golden{5684, 0, 0x1.2e5p+13, 0x1.2bp+13});
+}
+
+// StraightSync-heavy: sixteen sites, zero drift, eps = 0.1, so (eps S)^2
+// stays below k for most of the run and almost every update is reported
+// and acknowledged (2 messages) — the regime of the sim_nodrift workload.
+// Pins the per-type message breakdown and a hash of the whole Phase-1
+// transcript, not only the totals: the report / ack pair must be charged
+// and observed in order, whatever path carries it.
+core::CounterOptions StraightSyncOptions() {
+  core::CounterOptions options;
+  options.epsilon = 0.1;
+  options.horizon_n = 1 << 16;
+  options.seed = 71;
+  return options;
+}
+
+std::vector<double> StraightSyncStream() {
+  return streams::BernoulliStream(1 << 16, 0.0, 72);
+}
+
+/// FNV-1a over the observed messages, one 8-byte word per field.
+class TranscriptHash {
+ public:
+  void Add(const sim::Network::SentMessage& sent) {
+    Fold(sent.to_coordinator ? 1 : 0);
+    Fold(static_cast<uint64_t>(sent.site_id));
+    Fold(static_cast<uint64_t>(sent.message.type));
+    Fold(std::bit_cast<uint64_t>(sent.message.a));
+    Fold(std::bit_cast<uint64_t>(sent.message.b));
+    Fold(static_cast<uint64_t>(sent.message.u));
+    Fold(static_cast<uint64_t>(sent.message.v));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Fold(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(TransportDeterminismTest, StraightSyncHeavyCounterPinned) {
+  const std::vector<double> stream = StraightSyncStream();
+  core::NonMonotonicCounter counter(16, StraightSyncOptions());
+  TranscriptHash hash;
+  counter.SetMessageObserver(
+      [&hash](const sim::Network::SentMessage& sent) { hash.Add(sent); });
+  sim::RoundRobinAssignment psi(16);
+  sim::TrackingOptions tracking;
+  tracking.epsilon = 0.1;
+  const sim::TrackingResult result =
+      sim::RunTracking(stream, &psi, &counter, tracking);
+  const core::CounterDiagnostics diagnostics = counter.diagnostics();
+
+  const std::vector<sim::Network::TypeCount> breakdown =
+      counter.type_breakdown();
+  constexpr uint64_t kTranscriptHash = 0xe8ad11bd48b0068aULL;
+  if (hash.value() != kTranscriptHash) {
+    // Re-pinning aid, as in ExpectGolden.
+    std::printf("pin: %lld msgs, %lld broadcasts, max_rel %a, %a / %a, "
+                "straight %lld, switches %lld, syncs %lld, hash 0x%llx\n",
+                static_cast<long long>(result.messages),
+                static_cast<long long>(result.broadcasts), result.max_rel_error,
+                result.final_sum, result.final_estimate,
+                static_cast<long long>(diagnostics.straight_reports),
+                static_cast<long long>(diagnostics.stage_switches),
+                static_cast<long long>(diagnostics.sbc_syncs),
+                static_cast<unsigned long long>(hash.value()));
+    for (const sim::Network::TypeCount& row : breakdown) {
+      std::printf("  {%d, %lld, %lld},\n", row.type,
+                  static_cast<long long>(row.to_coordinator),
+                  static_cast<long long>(row.to_sites));
+    }
+  }
+  ExpectGolden(result, Golden{131072, 0, -0x1.0ap+8, -0x1.0ap+8});
+  EXPECT_EQ(result.broadcasts, 0);
+  EXPECT_EQ(result.max_rel_error, 0x0p+0);
+  EXPECT_EQ(diagnostics.straight_reports, 65536);
+  EXPECT_EQ(diagnostics.stage_switches, 0);
+  EXPECT_EQ(diagnostics.sbc_syncs, 0);
+  EXPECT_EQ(hash.value(), kTranscriptHash);
+  // Every update is one report (type 5) and one ack (type 4).
+  const sim::Network::TypeCount expected[] = {{4, 0, 65536}, {5, 65536, 0}};
+  ASSERT_EQ(breakdown.size(), std::size(expected));
+  for (size_t i = 0; i < breakdown.size(); ++i) {
+    EXPECT_EQ(breakdown[i].type, expected[i].type) << i;
+    EXPECT_EQ(breakdown[i].to_coordinator, expected[i].to_coordinator) << i;
+    EXPECT_EQ(breakdown[i].to_sites, expected[i].to_sites) << i;
+  }
+}
+
+/// One run's observable history: every observed message in send order, the
+/// estimate and cumulative message count after every update, and the
+/// counter's final diagnostics.
+struct Trace {
+  std::vector<sim::Network::SentMessage> transcript;
+  std::vector<double> estimates;
+  std::vector<int64_t> messages;
+  core::CounterDiagnostics diagnostics;
+};
+
+void Observe(core::NonMonotonicCounter* counter, Trace* trace) {
+  counter->SetMessageObserver([trace](const sim::Network::SentMessage& sent) {
+    trace->transcript.push_back(sent);
+  });
+}
+
+/// The sim pump with a curve point at every step.
+Trace PumpTrace(const core::CounterOptions& options,
+                const std::vector<double>& stream) {
+  Trace trace;
+  core::NonMonotonicCounter counter(16, options);
+  Observe(&counter, &trace);
+  sim::RoundRobinAssignment psi(16);
+  sim::TrackingOptions tracking;
+  tracking.epsilon = options.epsilon;
+  tracking.curve_points = static_cast<int>(stream.size());
+  const sim::TrackingResult result =
+      sim::RunTracking(stream, &psi, &counter, tracking);
+  for (const sim::CurvePoint& point : result.curve) {
+    trace.estimates.push_back(point.estimate);
+    trace.messages.push_back(point.messages);
+  }
+  trace.diagnostics = counter.diagnostics();
+  return trace;
+}
+
+void ExpectSameTrace(const Trace& expected, const Trace& actual) {
+  ASSERT_EQ(actual.estimates.size(), expected.estimates.size());
+  for (size_t t = 0; t < expected.estimates.size(); ++t) {
+    ASSERT_EQ(actual.estimates[t], expected.estimates[t]) << "step " << t;
+    ASSERT_EQ(actual.messages[t], expected.messages[t]) << "step " << t;
+  }
+  ASSERT_EQ(actual.transcript.size(), expected.transcript.size());
+  for (size_t i = 0; i < expected.transcript.size(); ++i) {
+    const sim::Network::SentMessage& e = expected.transcript[i];
+    const sim::Network::SentMessage& a = actual.transcript[i];
+    ASSERT_EQ(a.to_coordinator, e.to_coordinator) << "message " << i;
+    ASSERT_EQ(a.site_id, e.site_id) << "message " << i;
+    ASSERT_EQ(a.message.type, e.message.type) << "message " << i;
+    ASSERT_EQ(a.message.a, e.message.a) << "message " << i;
+    ASSERT_EQ(a.message.b, e.message.b) << "message " << i;
+    ASSERT_EQ(a.message.u, e.message.u) << "message " << i;
+    ASSERT_EQ(a.message.v, e.message.v) << "message " << i;
+  }
+}
+
+/// Runs `stream` three ways: the span pump, one ProcessUpdate per update,
+/// and a channel that adjudicates every hop but never faults (the counter
+/// then takes its queued, one-update-per-call path). All three must send
+/// the same messages in the same order and serve the same estimate after
+/// every update. Returns the pumped run.
+Trace ExpectPathsAgree(const core::CounterOptions& options,
+                       const std::vector<double>& stream) {
+  Trace pumped = PumpTrace(options, stream);
+  EXPECT_GT(pumped.transcript.size(), 0u);
+
+  Trace stepped;
+  {
+    core::NonMonotonicCounter counter(16, options);
+    Observe(&counter, &stepped);
+    sim::RoundRobinAssignment psi(16);
+    for (size_t t = 0; t < stream.size(); ++t) {
+      counter.ProcessUpdate(psi.NextSite(static_cast<int64_t>(t), stream[t]),
+                            stream[t]);
+      stepped.estimates.push_back(counter.Estimate());
+      stepped.messages.push_back(counter.stats().total());
+    }
+  }
+  {
+    SCOPED_TRACE("one ProcessUpdate per update");
+    ExpectSameTrace(pumped, stepped);
+  }
+
+  core::CounterOptions channeled = options;
+  channeled.channel.kind = sim::ChannelConfig::Kind::kLoss;
+  channeled.channel.loss = 0.0;
+  channeled.channel.duplicate = 0.0;
+  {
+    SCOPED_TRACE("zero-fault channel");
+    ExpectSameTrace(pumped, PumpTrace(channeled, stream));
+  }
+  return pumped;
+}
+
+TEST(TransportDeterminismTest, StraightSyncPathsAgree) {
+  const std::vector<double> stream = StraightSyncStream();
+  const Trace pumped = ExpectPathsAgree(StraightSyncOptions(), stream);
+  EXPECT_EQ(pumped.transcript.size(), 2 * stream.size());
+}
+
+// The same stream with the stage boundary pulled toward SBC, so the run
+// flips between the stages: a report that flips the stage is answered by
+// a broadcast instead of an ack.
+TEST(TransportDeterminismTest, StageFlippingPathsAgree) {
+  core::CounterOptions options = StraightSyncOptions();
+  options.stage_boundary_factor = 0.05;
+  const Trace pumped = ExpectPathsAgree(options, StraightSyncStream());
+  EXPECT_GT(pumped.diagnostics.stage_switches, 1);
+  EXPECT_GT(pumped.diagnostics.straight_reports, 0);
+}
+
+// A drifting stream in kUnknownUnitDrift mode: GPSearch observes every
+// straight report, and one of them commits the coordinator to Phase 2.
+TEST(TransportDeterminismTest, DriftSwitchPathsAgree) {
+  core::CounterOptions options = StraightSyncOptions();
+  options.drift_mode = core::DriftMode::kUnknownUnitDrift;
+  const Trace pumped =
+      ExpectPathsAgree(options, streams::BernoulliStream(1 << 16, 0.5, 73));
+  EXPECT_TRUE(pumped.diagnostics.phase2_active);
+  EXPECT_GT(pumped.diagnostics.straight_reports, 0);
 }
 
 }  // namespace
