@@ -45,6 +45,14 @@ void Network::GrowBreakdown(size_t index) {
   breakdown_by_type_.resize(std::max(index + 1, breakdown_by_type_.size() * 2));
 }
 
+void Network::Enqueue(const Envelope& envelope) {
+  if (channel_ == nullptr) {
+    queue_.push_back(envelope);
+  } else {
+    Route(envelope);
+  }
+}
+
 void Network::Route(const Envelope& envelope) {
   const ChannelVerdict verdict = channel_->Adjudicate(
       Hop{envelope.to_coordinator, envelope.site_id, tick_, envelope.message});
@@ -89,33 +97,13 @@ void Network::BeginTickSlow() {
 }
 
 void Network::SendToCoordinator(int from_site, const Message& message) {
-  NMC_CHECK_GE(from_site, 0);
-  NMC_CHECK_LT(from_site, num_sites_);
-  NMC_CHECK_GE(message.type, 0);
-  stats_.site_to_coordinator += 1;
-  BreakdownSlot(message.type).to_coordinator += 1;
-  if (has_observer_) observer_(SentMessage{true, from_site, message});
-  const Envelope envelope{/*to_coordinator=*/true, from_site, message};
-  if (channel_ == nullptr) {
-    queue_.push_back(envelope);
-  } else {
-    Route(envelope);
-  }
+  ChargeUnicast(/*to_coordinator=*/true, from_site, message);
+  Enqueue(Envelope{/*to_coordinator=*/true, from_site, message});
 }
 
 void Network::SendToSite(int site_id, const Message& message) {
-  NMC_CHECK_GE(site_id, 0);
-  NMC_CHECK_LT(site_id, num_sites_);
-  NMC_CHECK_GE(message.type, 0);
-  stats_.coordinator_to_site += 1;
-  BreakdownSlot(message.type).to_sites += 1;
-  if (has_observer_) observer_(SentMessage{false, site_id, message});
-  const Envelope envelope{/*to_coordinator=*/false, site_id, message};
-  if (channel_ == nullptr) {
-    queue_.push_back(envelope);
-  } else {
-    Route(envelope);
-  }
+  ChargeUnicast(/*to_coordinator=*/false, site_id, message);
+  Enqueue(Envelope{/*to_coordinator=*/false, site_id, message});
 }
 
 void Network::Broadcast(const Message& message) {
@@ -125,12 +113,7 @@ void Network::Broadcast(const Message& message) {
   BreakdownSlot(message.type).to_sites += num_sites_;
   for (int s = 0; s < num_sites_; ++s) {
     if (has_observer_) observer_(SentMessage{false, s, message});
-    const Envelope envelope{/*to_coordinator=*/false, s, message};
-    if (channel_ == nullptr) {
-      queue_.push_back(envelope);
-    } else {
-      Route(envelope);
-    }
+    Enqueue(Envelope{/*to_coordinator=*/false, s, message});
   }
 }
 
