@@ -44,16 +44,6 @@ void ReliableProtocol::ProcessUpdate(int site_id, double value) {
   Supervise();
 }
 
-int64_t ReliableProtocol::ProcessBatch(int site_id,
-                                       std::span<const double> values) {
-  // One update per call: supervision must see every tick, and faulty
-  // channels rule out fast-forwarding anyway (the inner protocol makes the
-  // same choice).
-  NMC_CHECK(!values.empty());
-  ProcessUpdate(site_id, values.front());
-  return 1;
-}
-
 void ReliableProtocol::Supervise() {
   const int64_t faults = FaultCount();
   if (!recovering_) {
