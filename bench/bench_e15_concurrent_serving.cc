@@ -1,9 +1,10 @@
 // E15 — concurrent serving: the threaded transport backend vs the
 // deterministic simulator pump. The protocol is the same single-threaded
 // state machine either way; this bench measures what the runtime around it
-// costs and buys: update throughput through the SPSC mailboxes vs a bare
-// in-thread ProcessBatch pump, and query throughput of m reader threads
-// snapshotting the seqlock-published estimate wait-free.
+// costs and buys: update throughput through the SPSC mailboxes vs the sim
+// transport's own pump (RunWithTransport(kSim) on the same shards), and
+// query throughput of m reader threads snapshotting the seqlock-published
+// estimate wait-free.
 //
 // Flags (on top of the shared set): --sites=K, --readers=M (pins the
 // reader sweep to one point), --updates=N, --protocol=NAME. With
@@ -104,42 +105,24 @@ double Seconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The single-threaded reference: the same shards, consumed on one thread
-/// in the same visiting pattern as the threaded coordinator (round-robin
-/// over sites, up to 256 contiguous updates per visit, ProcessBatch), with
-/// no queues, threads, or publishes in the way. This is the pump the
-/// threaded backend's update throughput is judged against.
-double SimPumpUpdatesPerSec(const E15Options& options,
-                            const std::vector<std::vector<double>>& shards) {
+/// The single-threaded reference: the sim transport's own pump on the same
+/// shards — RunWithTransport(kSim), which interleaves them round-robin and
+/// feeds the stream through the tracking checker, exactly what
+/// --transport=sim runs. This is the pump the concurrent backends' update
+/// throughput is judged against.
+double SimTransportUpdatesPerSec(
+    const E15Options& options, const std::vector<std::vector<double>>& shards) {
   const std::unique_ptr<nmc::sim::Protocol> protocol = FreshProtocol(options);
-  constexpr size_t kVisit = 256;
-  std::vector<size_t> pos(shards.size(), 0);
-  int64_t total = 0;
+  nmc::runtime::RunConfig config;
+  config.protocol = protocol.get();
+  config.shards = shards;
+  config.tracking.epsilon = kEpsilon;
   const auto start = std::chrono::steady_clock::now();
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      const std::vector<double>& shard = shards[s];
-      if (pos[s] >= shard.size()) continue;
-      progressed = true;
-      const size_t want = std::min(kVisit, shard.size() - pos[s]);
-      const std::span<const double> batch(&shard[pos[s]], want);
-      size_t offset = 0;
-      while (offset < batch.size()) {
-        offset += static_cast<size_t>(protocol->ProcessBatch(
-            static_cast<int>(s), batch.subspan(offset)));
-        total += 1;  // count ProcessBatch calls only for the loop's shape
-      }
-      pos[s] += want;
-    }
-  }
+  const nmc::runtime::RunResult result =
+      nmc::runtime::RunWithTransport(TransportKind::kSim, config);
   const double elapsed = Seconds(start);
-  int64_t updates = 0;
-  for (const std::vector<double>& shard : shards) {
-    updates += static_cast<int64_t>(shard.size());
-  }
-  return elapsed > 0.0 ? static_cast<double>(updates) / elapsed : 0.0;
+  return elapsed > 0.0 ? static_cast<double>(result.tracking.n) / elapsed
+                       : 0.0;
 }
 
 struct ServingPoint {
@@ -240,8 +223,8 @@ int main(int argc, char** argv) {
   const std::vector<std::vector<double>> shards =
       nmc::runtime::ShardRoundRobin(stream, options.sites);
 
-  const double sim_ups = SimPumpUpdatesPerSec(options, shards);
-  std::printf("\nsim pump (single thread, no queues): %.3e updates/sec\n",
+  const double sim_ups = SimTransportUpdatesPerSec(options, shards);
+  std::printf("\nsim pump (--transport=sim, one thread): %.3e updates/sec\n",
               sim_ups);
   RecordMetric("sim_pump_updates_per_sec", sim_ups);
 
