@@ -17,7 +17,10 @@ Every metric is a throughput (higher is better):
   * tracked benches -> "bench/<name>" = updates_per_sec,
   * named bench scalars -> "bench/<name>/<metric>" (the BenchReport
     "metrics" array — throughput-only benches report through these).
-Metrics present on only one side are reported but never gate.
+Metrics present on only one side are reported but never gate. A micro
+row of the baseline aggregate may carry "bound_pct": that row gates at
+its own bound instead of --threshold (run_benches.sh writes it for rows
+whose median moves by more than the threshold between steady runs).
 
 --min_ratio=PATTERN=RATIO (repeatable) is a hard speedup gate: every
 shared metric whose name contains PATTERN must satisfy
@@ -36,6 +39,8 @@ unreadable/undecodable input.
 import json
 import sys
 from pathlib import Path
+
+SCHEMA = "nmcount-bench-baseline-v1"
 
 
 def fail_usage(message):
@@ -78,6 +83,14 @@ def metrics_from_bench_report(doc):
     return out
 
 
+def row_bounds(doc):
+    """{metric_name: bound_pct} for aggregate micro rows that carry one."""
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+        return {}
+    return {f"micro/{row['name']}": float(row["bound_pct"])
+            for row in doc.get("micro", []) if "bound_pct" in row}
+
+
 def metrics_from_aggregate(doc):
     out = {}
     for row in doc.get("micro", []):
@@ -92,7 +105,7 @@ def metrics_from_aggregate(doc):
 def extract_metrics(doc, path):
     """Normalizes any accepted format into {metric_name: throughput}."""
     if isinstance(doc, dict):
-        if doc.get("schema") == "nmcount-bench-baseline-v1":
+        if doc.get("schema") == SCHEMA:
             return metrics_from_aggregate(doc)
         if "benchmarks" in doc:
             return metrics_from_google_benchmark(doc)
@@ -137,7 +150,9 @@ def main(argv):
         return fail_usage("expected exactly two JSON paths")
 
     try:
-        baseline = extract_metrics(load_json(positional[0]), positional[0])
+        baseline_doc = load_json(positional[0])
+        baseline = extract_metrics(baseline_doc, positional[0])
+        bounds = row_bounds(baseline_doc)
         candidate = extract_metrics(load_json(positional[1]), positional[1])
     except ValueError as err:
         print(f"compare_bench: {err}", file=sys.stderr)
@@ -154,7 +169,7 @@ def main(argv):
         old, new = baseline[name], candidate[name]
         delta_pct = (new - old) / old * 100.0
         marker = ""
-        if delta_pct < -threshold_pct:
+        if delta_pct < -bounds.get(name, threshold_pct):
             marker = "  << REGRESSION"
             regressions.append((name, delta_pct))
         print(f"{name:<{width}}  {old:>14.3e}  {new:>14.3e}  "
