@@ -55,9 +55,6 @@ constexpr double kPhase2EpsFraction = 0.25;
 /// Theta(1/n^2)).
 constexpr double kPhase2DeltaScale = 1.0;
 
-/// Updates per TallySigns block in the Phase-2 span scan.
-constexpr size_t kPhase2Block = 64;
-
 // Rate scale from the mean square of the updates seen so far. The eq. (1)
 // first-passage calibration assumes ±1 steps; steps of variance m2 take
 // 1/m2 times longer to cover the same distance, so the rate may be scaled
@@ -755,7 +752,7 @@ class NonMonotonicCounter::Coordinator final : public sim::CoordinatorNode {
 
 NonMonotonicCounter::NonMonotonicCounter(int num_sites,
                                          const CounterOptions& options)
-    : options_(options), network_(num_sites), phase2_scan_(num_sites, 2) {
+    : options_(options), network_(num_sites) {
   NMC_CHECK_GT(options.epsilon, 0.0);
   NMC_CHECK_GE(options.horizon_n, 1);
   NMC_CHECK_GE(options.initial_updates, 0);
@@ -779,9 +776,9 @@ int NonMonotonicCounter::num_sites() const { return network_.num_sites(); }
 
 void NonMonotonicCounter::ProcessUpdate(int site_id, double value) {
   // Per-update fast path for the common Phase-1 / perfect-channel case:
-  // skips the batch plumbing (phase-2 run scan, channel probe) that
+  // skips the batch plumbing (Phase-2 check, channel probe) that
   // ProcessBatch pays per call.
-  if (positive_counter_ == nullptr && !network_.channeled()) {
+  if (phase2_ == nullptr && !network_.channeled()) {
     NMC_CHECK_GE(site_id, 0);
     NMC_CHECK_LT(site_id, num_sites());
     FeedPhase1(site_id, std::span<const double>(&value, 1));
@@ -823,20 +820,7 @@ int64_t NonMonotonicCounter::ProcessBatch(int site_id,
   NMC_CHECK_GE(site_id, 0);
   NMC_CHECK_LT(site_id, num_sites());
   NMC_CHECK(!values.empty());
-  if (positive_counter_ != nullptr) {
-    // Phase 2. A one-update span needs no scan: hand it to the HYZ
-    // counter of its sign. Under a faulty channel the HYZ pair takes one
-    // increment per call anyway, and a multi-update span would assume the
-    // silent prefix stays silent, which delayed delivery breaks.
-    if (values.size() == 1 || network_.channeled()) {
-      const double first = values.front();
-      NMC_CHECK_EQ(std::fabs(first), 1.0);
-      hyz::HyzProtocol* target =
-          first > 0 ? positive_counter_.get() : negative_counter_.get();
-      return target->ProcessRun(site_id, 1);
-    }
-    return ConsumePhase2(site_id, values);
-  }
+  if (phase2_ != nullptr) return phase2_->ProcessBatch(site_id, values);
   if (!network_.channeled()) return FeedPhase1(site_id, values);
   // Under a faulty channel, advance simulated time (delivering anything
   // that came due) and process one update per call, queued: fast-forwarding
@@ -854,6 +838,7 @@ int64_t NonMonotonicCounter::ProcessSpan(std::span<const int> sites,
   if (sites_.size() == 1) {
     return NonMonotonicCounter::ProcessBatch(sites[0], values);
   }
+  if (phase2_ != nullptr) return phase2_->ProcessSpan(sites, values);
   const int site_id = sites[0];
   NMC_CHECK_GE(site_id, 0);
   NMC_CHECK_LT(site_id, num_sites());
@@ -863,8 +848,7 @@ int64_t NonMonotonicCounter::ProcessSpan(std::span<const int> sites,
   if (network_.channeled()) {
     return NonMonotonicCounter::ProcessBatch(site_id, values.first(1));
   }
-  if (positive_counter_ == nullptr &&
-      sites_[static_cast<size_t>(site_id)]->straight()) {
+  if (sites_[static_cast<size_t>(site_id)]->straight()) {
     // StraightSync reports every update: the span ends at its first.
     StraightStep(site_id, values.front());
     return 1;
@@ -872,11 +856,6 @@ int64_t NonMonotonicCounter::ProcessSpan(std::span<const int> sites,
   if (sites.size() == 1 || sites[1] == site_id) {
     return NonMonotonicCounter::ProcessBatch(site_id,
                                              values.first(LeadingRun(sites)));
-  }
-  if (positive_counter_ != nullptr) {
-    hyz::HyzProtocol* const pair[2] = {positive_counter_.get(),
-                                       negative_counter_.get()};
-    return phase2_scan_.Consume(pair, sites, values);
   }
   return ScanPhase1(sites, values);
 }
@@ -953,72 +932,8 @@ int64_t NonMonotonicCounter::ScanPhase1(std::span<const int> sites,
   return static_cast<int64_t>(i);
 }
 
-int64_t NonMonotonicCounter::ConsumePhase2(int site_id,
-                                           std::span<const double> values) {
-  hyz::HyzProtocol* const counters[2] = {positive_counter_.get(),
-                                         negative_counter_.get()};
-  // Scan the span for the first update that makes either counter report,
-  // tallying + (index 0) and - (index 1) separately. A sign's headroom is
-  // queried at its first update in the span, the moment the per-update
-  // feed would first touch that HYZ site, so a sampled site draws its gap
-  // exactly when it would have anyway. Asking earlier could draw a gap
-  // that no update of this span uses; another site's report could then
-  // start a new round, discard it and shift that site's RNG stream.
-  int64_t taken[2] = {0, 0};
-  int64_t room[2] = {-1, -1};  // -1: not queried yet
-  int reporter = -1;
-  const auto fits = [&](int sign, int64_t count) {
-    return count == 0 ||
-           (room[sign] >= 0 && taken[sign] + count <= room[sign]);
-  };
-  const size_t n = values.size();
-  size_t i = 0;
-  while (reporter < 0 && i < n) {
-    const size_t len = std::min(kPhase2Block, n - i);
-    if (room[0] >= 0 || room[1] >= 0) {  // else no block can fit
-      const common::SignTally tally =
-          common::TallySigns(values.subspan(i, len));
-      if (tally.all_unit && fits(0, tally.plus) && fits(1, tally.minus)) {
-        taken[0] += tally.plus;
-        taken[1] += tally.minus;
-        i += len;
-        continue;
-      }
-    }
-    // The block holds the reporting update, a sign not queried yet, or a
-    // non-unit value: step through it, back to blocks once both signs'
-    // headrooms are known.
-    for (const size_t end = i + len; i < end;) {
-      const double value = values[i++];
-      NMC_CHECK_EQ(std::fabs(value), 1.0);
-      const int sign = value > 0.0 ? 0 : 1;
-      const bool query = room[sign] < 0;
-      if (query) room[sign] = counters[sign]->Headroom(site_id);
-      if (++taken[sign] > room[sign]) {
-        reporter = sign;
-        break;
-      }
-      if (query && room[1 - sign] >= 0) break;
-    }
-  }
-
-  // At most one run per sign, the reporting sign last: the silent run
-  // cannot message, so the span's only message is its final update's.
-  const int last = reporter < 0 ? 1 : reporter;
-  for (const int sign : {1 - last, last}) {
-    if (taken[sign] == 0) continue;
-    const int64_t consumed = counters[sign]->ProcessRun(site_id, taken[sign]);
-    NMC_CHECK_EQ(consumed, taken[sign]);
-  }
-  return taken[0] + taken[1];
-}
-
 bool NonMonotonicCounter::Resync() {
-  if (positive_counter_ != nullptr) {
-    const bool positive_ok = positive_counter_->Resync();
-    const bool negative_ok = negative_counter_->Resync();
-    return positive_ok && negative_ok;
-  }
+  if (phase2_ != nullptr) return phase2_->Resync();
   if (num_sites() == 1) {
     sites_[0]->SendSnapshot(kExactReport);
   } else {
@@ -1031,7 +946,7 @@ bool NonMonotonicCounter::Resync() {
 }
 
 void NonMonotonicCounter::ForceSync() {
-  NMC_CHECK(positive_counter_ == nullptr);  // Phase 1 only
+  NMC_CHECK(phase2_ == nullptr);  // Phase 1 only
   if (num_sites() == 1) {
     sites_[0]->SendSnapshot(kExactReport);
   } else if (coordinator_->in_sbc_stage()) {
@@ -1052,7 +967,7 @@ double NonMonotonicCounter::SyncedSumSquares() const {
 
 void NonMonotonicCounter::Settle() {
   network_.DeliverAll();
-  if (coordinator_->phase2_pending() && positive_counter_ == nullptr) {
+  if (coordinator_->phase2_pending() && phase2_ == nullptr) {
     ActivatePhase2();
   }
 }
@@ -1085,27 +1000,15 @@ void NonMonotonicCounter::ActivatePhase2() {
       hyz_options.mode = hyz::HyzMode::kDeterministic;
     }
   }
-  // The pair inherits the fault model on separate networks; distinct
-  // channel seeds keep the two loss patterns independent. (Under the
-  // default perfect channel the seed is unused and no channel is built.)
+  // The pair inherits the fault model, forked onto its own networks.
   hyz_options.channel = options_.channel;
-  common::Rng seeder(options_.seed ^ 0x9e3779b97f4a7c15ULL);
-  hyz_options.seed = seeder.NextU64();
-  hyz_options.channel.seed = options_.channel.seed + 1;
-  hyz_options.initial_total = p0;
-  positive_counter_ =
-      std::make_unique<hyz::HyzProtocol>(num_sites(), hyz_options);  // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) phase-2 activation allocates the HYZ pair exactly once per trial
-  hyz_options.seed = seeder.NextU64();
-  hyz_options.channel.seed = options_.channel.seed + 2;
-  hyz_options.initial_total = n0;
-  negative_counter_ =
-      std::make_unique<hyz::HyzProtocol>(num_sites(), hyz_options);  // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) phase-2 activation allocates the HYZ pair exactly once per trial
+  phase2_ = std::make_unique<hyz::HyzPair>(  // nmc-lint: allow(NO_HEAP_IN_HOT_PATH) phase-2 activation allocates the HYZ pair exactly once per trial
+      num_sites(), hyz_options, options_.seed ^ 0x9e3779b97f4a7c15ULL, p0,
+      n0);
 }
 
 double NonMonotonicCounter::Estimate() const {
-  if (positive_counter_ != nullptr) {
-    return positive_counter_->Estimate() - negative_counter_->Estimate();
-  }
+  if (phase2_ != nullptr) return phase2_->Estimate();
   return coordinator_->Estimate();
 }
 
@@ -1113,16 +1016,15 @@ const sim::MessageStats& NonMonotonicCounter::stats() const {
   // Phase 1 serves the network's stats by reference: the tracking pump
   // reads stats() around every batch, so the combined-copy path would be
   // a per-batch struct copy for the lifetime of most runs.
-  if (positive_counter_ == nullptr) return network_.stats();
+  if (phase2_ == nullptr) return network_.stats();
   combined_stats_ = network_.stats();
-  combined_stats_ += positive_counter_->stats();
-  combined_stats_ += negative_counter_->stats();
+  combined_stats_ += phase2_->stats();
   return combined_stats_;
 }
 
 CounterDiagnostics NonMonotonicCounter::diagnostics() const {
   CounterDiagnostics d;
-  d.phase2_active = positive_counter_ != nullptr;
+  d.phase2_active = phase2_ != nullptr;
   d.mu_hat = coordinator_->gp_resolved() ? coordinator_->mu_hat() : 0.0;
   d.phase2_switch_time = phase2_switch_time_;
   d.sbc_syncs = coordinator_->sbc_syncs();

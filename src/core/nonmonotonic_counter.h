@@ -181,29 +181,25 @@ class NonMonotonicCounter : public sim::Protocol {
   /// and returns the count consumed (see the Protocol::ProcessBatch
   /// contract). With the kGeometricSkip sampler the silent prefix of a
   /// run costs O(1) RNG draws and rate evaluations instead of one per
-  /// update. In Phase 2 the run may mix signs: it is scanned in blocks
-  /// against both HYZ sites' headrooms (each sign's is queried at that
-  /// sign's first update, so the HYZ RNG draw order matches per-update
-  /// feeding) and handed over as at most one ProcessRun per sign, the
-  /// reporting sign last. Under a faulty channel every call consumes one
-  /// update.
+  /// update. Phase 2 hands the run to the HYZ pair (see
+  /// hyz::HyzPair::ProcessBatch). Under a faulty channel every call
+  /// consumes one update.
   int64_t ProcessBatch(int site_id, std::span<const double> values) override;
 
   /// Feeds an interleaved span (see the Protocol::ProcessSpan contract).
   /// Between two messages every site evolves on its own state and RNG, so
-  /// a multi-site ±1 span is scanned per slot — per site in Phase 1, per
-  /// (site, sign) in Phase 2 — against each slot's silent budget: the
-  /// skip gap an SBC site would sample against (0 in StraightSync), or
-  /// the HYZ site's headroom. A slot's budget is queried lazily, at its
-  /// first update in the span, so every RNG draw happens exactly when the
-  /// per-update feed would make it. Phase 1 applies each site's silent
-  /// tally in bulk and sends its next sampling event through the
-  /// per-update state machine, continuing past rejected candidates; Phase
-  /// 2 issues one ProcessRun per touched slot, the reporting slot last.
-  /// A span that opens on one site (every span at k = 1) hands its whole
-  /// leading same-site run to ProcessBatch. A StraightSync site and a
-  /// faulty channel take one update per call. Phase 1's scan stops before
-  /// a non-±1 value, which then goes through ProcessBatch alone.
+  /// Phase 1 scans a multi-site ±1 span per site against each site's
+  /// silent budget: the skip gap an SBC site would sample against (0 in
+  /// StraightSync). A site's budget is queried lazily, at its first update
+  /// in the span, so every RNG draw happens exactly when the per-update
+  /// feed would make it. The scan applies each site's silent tally in bulk
+  /// and sends its next sampling event through the per-update state
+  /// machine, continuing past rejected candidates. A span that opens on
+  /// one site (every span at k = 1) hands its whole leading same-site run
+  /// to ProcessBatch. A StraightSync site and a faulty channel take one
+  /// update per call. The scan stops before a non-±1 value, which then
+  /// goes through ProcessBatch alone. Phase 2 hands the span to the HYZ
+  /// pair (see hyz::HyzPair::ProcessSpan).
   int64_t ProcessSpan(std::span<const int> sites,
                       std::span<const double> values) override;
 
@@ -258,9 +254,6 @@ class NonMonotonicCounter : public sim::Protocol {
   /// committed the coordinator to Phase 2.
   void Settle();
   void ActivatePhase2();
-  /// Phase 2's span scan for a multi-update span on a perfect channel
-  /// (ProcessBatch hands one-update spans straight to a HYZ counter).
-  int64_t ConsumePhase2(int site_id, std::span<const double> values);
   /// Phase 1's interleaved scan (k > 1, perfect channel).
   int64_t ScanPhase1(std::span<const int> sites,
                      std::span<const double> values);
@@ -281,16 +274,13 @@ class NonMonotonicCounter : public sim::Protocol {
   std::vector<std::unique_ptr<Site>> sites_;
 
   // Phase 2: monotonic counters over positive / negative updates.
-  std::unique_ptr<hyz::HyzProtocol> positive_counter_;
-  std::unique_ptr<hyz::HyzProtocol> negative_counter_;
+  std::unique_ptr<hyz::HyzPair> phase2_;
   int64_t phase2_switch_time_ = 0;
 
-  // Span-scan scratch, sized at construction so the scans never allocate:
-  // Phase 1's slots_[s] and the sites a call touched, and Phase 2's scan
-  // over the HYZ pair.
+  // Phase 1's span-scan scratch, sized at construction so the scan never
+  // allocates: slots_[s] and the sites a call touched.
   std::vector<ScanSlot> slots_;
   std::vector<int> touched_;
-  hyz::SpanScan phase2_scan_;
 
   mutable sim::MessageStats combined_stats_;
 };
