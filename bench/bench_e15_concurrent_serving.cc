@@ -15,8 +15,11 @@
 // sockets (the CI multi-process smoke). Both concurrent backends end in
 // the linearizability epilogue against the sim oracle.
 //
-// Every reported number is also recorded via RecordMetric, so the BENCH
-// json carries bench/bench_e15_concurrent_serving/<metric> rows for
+// Each rate is the median of kPasses timed passes, printed with its
+// interquartile range: one pass over 2^16 updates lasts a few ms, and a
+// single pass swung 2x between runs of the same binary. Every reported
+// median is also recorded via RecordMetric, so the BENCH json carries
+// bench/bench_e15_concurrent_serving/<metric> rows for
 // scripts/compare_bench.py.
 
 #include <chrono>
@@ -29,6 +32,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
+#include "common/statistics.h"
 #include "registry/builtin.h"
 #include "runtime/run.h"
 #include "sim/registry.h"
@@ -50,6 +54,21 @@ struct E15Options {
 constexpr double kEpsilon = 0.25;
 constexpr uint64_t kStreamSeed = 1500;
 constexpr uint64_t kCounterSeed = 23;
+
+/// Timed passes per reference and per reader point.
+constexpr int kPasses = 25;
+
+/// Median and interquartile range of one measurement's passes.
+struct Timed {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Timed Summarize(const std::vector<double>& samples) {
+  return Timed{nmc::common::Quantile(samples, 0.5),
+               nmc::common::Quantile(samples, 0.75) -
+                   nmc::common::Quantile(samples, 0.25)};
+}
 
 [[noreturn]] void UsageError(const std::string& message) {
   std::fprintf(stderr,
@@ -105,11 +124,11 @@ double Seconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The single-threaded reference: the sim transport's own pump on the same
-/// shards — RunWithTransport(kSim), which interleaves them round-robin and
-/// feeds the stream through the tracking checker, exactly what
-/// --transport=sim runs. This is the pump the concurrent backends' update
-/// throughput is judged against.
+/// One pass of the single-threaded reference: the sim transport's own pump
+/// on the same shards — RunWithTransport(kSim), which interleaves them
+/// round-robin and feeds the stream through the tracking checker, exactly
+/// what --transport=sim runs. This is the pump the concurrent backends'
+/// update throughput is judged against.
 double SimTransportUpdatesPerSec(
     const E15Options& options, const std::vector<std::vector<double>>& shards) {
   const std::unique_ptr<nmc::sim::Protocol> protocol = FreshProtocol(options);
@@ -125,16 +144,16 @@ double SimTransportUpdatesPerSec(
                        : 0.0;
 }
 
-struct ServingPoint {
-  int readers = 0;
+/// One pass at a reader count on a concurrent backend (threads or sockets),
+/// through the unified transport entry point.
+struct ServingPass {
   double updates_per_sec = 0.0;
   double reads_per_sec = 0.0;
-  int64_t torn_reads = 0;
+  /// Reader snapshots retried because a publish overlapped them.
+  double read_retries = 0.0;
 };
 
-/// One reader-count point on a concurrent backend (threads or sockets),
-/// through the unified transport entry point.
-ServingPoint RunServingPoint(const E15Options& options,
+ServingPass RunServingPass(const E15Options& options,
                              const std::vector<std::vector<double>>& shards,
                              int readers, TransportKind kind) {
   const std::unique_ptr<nmc::sim::Protocol> protocol = FreshProtocol(options);
@@ -148,16 +167,37 @@ ServingPoint RunServingPoint(const E15Options& options,
   const nmc::runtime::RunResult result =
       nmc::runtime::RunWithTransport(kind, config);
   const double elapsed = Seconds(start);
-  ServingPoint point;
-  point.readers = readers;
+  ServingPass pass;
   if (elapsed > 0.0) {
-    point.updates_per_sec =
+    pass.updates_per_sec =
         static_cast<double>(result.serving.updates) / elapsed;
-    point.reads_per_sec =
+    pass.reads_per_sec =
         static_cast<double>(result.serving.total_reads) / elapsed;
   }
-  point.torn_reads = result.serving.torn_reads;
-  return point;
+  pass.read_retries = static_cast<double>(result.serving.torn_reads);
+  return pass;
+}
+
+/// One reader-count point: each figure is summarized over kPasses passes.
+struct ServingPoint {
+  int readers = 0;
+  Timed updates_per_sec;
+  Timed reads_per_sec;
+  Timed read_retries;
+};
+
+ServingPoint RunServingPoint(const E15Options& options,
+                             const std::vector<std::vector<double>>& shards,
+                             int readers, TransportKind kind) {
+  std::vector<double> updates(kPasses), reads(kPasses), retries(kPasses);
+  for (int i = 0; i < kPasses; ++i) {
+    const ServingPass pass = RunServingPass(options, shards, readers, kind);
+    updates[i] = pass.updates_per_sec;
+    reads[i] = pass.reads_per_sec;
+    retries[i] = pass.read_retries;
+  }
+  return ServingPoint{readers, Summarize(updates), Summarize(reads),
+                      Summarize(retries)};
 }
 
 /// A small captured run replayed against the deterministic simulator: every
@@ -223,9 +263,15 @@ int main(int argc, char** argv) {
   const std::vector<std::vector<double>> shards =
       nmc::runtime::ShardRoundRobin(stream, options.sites);
 
-  const double sim_ups = SimTransportUpdatesPerSec(options, shards);
-  std::printf("\nsim pump (--transport=sim, one thread): %.3e updates/sec\n",
-              sim_ups);
+  std::vector<double> sim_passes(kPasses);
+  for (double& pass : sim_passes) {
+    pass = SimTransportUpdatesPerSec(options, shards);
+  }
+  const Timed sim = Summarize(sim_passes);
+  const double sim_ups = sim.median;
+  std::printf("\nsim pump (--transport=sim, one thread): %.3e updates/sec "
+              "(median of %d passes, iqr %.2e)\n",
+              sim_ups, kPasses, sim.iqr);
   RecordMetric("sim_pump_updates_per_sec", sim_ups);
 
   const TransportKind kind = BenchTransport();
@@ -241,35 +287,39 @@ int main(int argc, char** argv) {
   } else {
     sweep = {1, 2, 4, 8};
   }
-  std::printf("\n-- %s backend: %d sites, m reader threads --\n", kind_name,
-              options.sites);
-  std::printf("%8s  %16s  %16s  %12s\n", "readers", "updates/sec",
-              "reads/sec", "torn reads");
+  std::printf("\n-- %s backend: %d sites, m reader threads; medians of %d "
+              "passes (iqr) --\n",
+              kind_name, options.sites, kPasses);
+  std::printf("%8s  %22s  %22s  %18s\n", "readers", "updates/sec (iqr)",
+              "reads/sec (iqr)", "read retries (iqr)");
   std::vector<ServingPoint> points;
   for (const int m : sweep) {
     points.push_back(RunServingPoint(options, shards, m, kind));
     const ServingPoint& p = points.back();
-    std::printf("%8d  %16.3e  %16.3e  %12lld\n", p.readers, p.updates_per_sec,
-                p.reads_per_sec, static_cast<long long>(p.torn_reads));
+    std::printf("%8d  %10.3e (%9.2e)  %10.3e (%9.2e)  %8.0f (%7.1f)\n",
+                p.readers, p.updates_per_sec.median, p.updates_per_sec.iqr,
+                p.reads_per_sec.median, p.reads_per_sec.iqr,
+                p.read_retries.median, p.read_retries.iqr);
     char name[64];
     std::snprintf(name, sizeof(name), "%s_updates_per_sec_m%d", kind_name,
                   p.readers);
-    RecordMetric(name, p.updates_per_sec);
+    RecordMetric(name, p.updates_per_sec.median);
     std::snprintf(name, sizeof(name), "reads_per_sec_m%d", p.readers);
-    RecordMetric(name, p.reads_per_sec);
+    RecordMetric(name, p.reads_per_sec.median);
   }
 
   const ServingPoint& first = points.front();
   if (sim_ups > 0.0) {
     char name[64];
     std::snprintf(name, sizeof(name), "%s_vs_sim_pump", kind_name);
-    RecordMetric(name, first.updates_per_sec / sim_ups);
+    RecordMetric(name, first.updates_per_sec.median / sim_ups);
     std::printf("\n%s/sim update throughput: %.2fx (transport overhead; >1x "
                 "needs real cores for the sites)\n",
-                kind_name, first.updates_per_sec / sim_ups);
+                kind_name, first.updates_per_sec.median / sim_ups);
   }
-  if (points.size() > 1 && first.reads_per_sec > 0.0) {
-    const double scaling = points.back().reads_per_sec / first.reads_per_sec;
+  if (points.size() > 1 && first.reads_per_sec.median > 0.0) {
+    const double scaling =
+        points.back().reads_per_sec.median / first.reads_per_sec.median;
     RecordMetric("reader_scaling", scaling);
     std::printf("reader scaling m=%d vs m=%d: %.2fx (wait-free reads; "
                 "scaling needs >= m cores)\n",
