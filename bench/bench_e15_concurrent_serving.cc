@@ -171,8 +171,14 @@ ServingPass RunServingPass(const E15Options& options,
   if (elapsed > 0.0) {
     pass.updates_per_sec =
         static_cast<double>(result.serving.updates) / elapsed;
+  }
+  // Reads over the readers' mean running time, not the pass's wall time: a
+  // reader that starts late on a loaded host then reads at the rate it
+  // actually served, instead of diluting the figure with time it never ran.
+  const double reader_seconds = result.serving.reader_seconds / readers;
+  if (reader_seconds > 0.0) {
     pass.reads_per_sec =
-        static_cast<double>(result.serving.total_reads) / elapsed;
+        static_cast<double>(result.serving.total_reads) / reader_seconds;
   }
   pass.read_retries = static_cast<double>(result.serving.torn_reads);
   return pass;

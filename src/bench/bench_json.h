@@ -76,7 +76,8 @@ bool WriteBenchReport(const std::string& path, const BenchReport& report);
 ///   --delay_max=T     max delay in ticks (with --channel=delay)
 ///   --channel_seed=S  channel RNG seed (base; offset per trial)
 ///   --transport=K     runtime backend: sim (deterministic simulator,
-///                     default) | threads (concurrent runtime)
+///                     default) | threads (concurrent runtime) | sockets
+///                     (forked site processes over the wire framing)
 /// Crash schedules need interval lists and stay config-driven (see
 /// bench_e14_fault_tolerance), not flag-driven.
 struct BenchFlagValues {

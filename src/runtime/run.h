@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "runtime/sockets.h"
@@ -41,10 +43,10 @@ struct RunConfig {
   SocketRunOptions sockets;
 };
 
-/// Transport-agnostic outcome. Exactly one slice is authoritative per
-/// transport: `tracking` for kSim; `serving` for kThreads and kSockets;
-/// `sockets` additionally for kSockets. The untouched slices stay
-/// default-initialized.
+/// The outcome of a run on any backend. Exactly one slice is
+/// authoritative per transport: `tracking` for kSim; `serving` for
+/// kThreads and kSockets; `sockets` additionally for kSockets. The
+/// untouched slices stay default-initialized.
 struct RunResult {
   TransportKind transport = TransportKind::kSim;
   sim::TrackingResult tracking;
@@ -53,18 +55,73 @@ struct RunResult {
 };
 
 /// Runs config.protocol over the chosen transport backend. This is the
-/// public entry point for every backend; sim::RunTracking,
-/// runtime::RunThreaded and runtime::RunSockets are its internal building
-/// blocks (benches and integration tests go through here so a backend can
-/// be swapped with one flag). The sim path delegates verbatim to
-/// sim::RunTracking — same pump, same checker arithmetic — so existing
-/// sim outputs are pinned byte-identical.
+/// public entry point for every backend; sim::RunTracking, RunThreaded
+/// and RunSockets are its building blocks (benches and integration tests
+/// go through here so a backend can be swapped with one flag). The sim
+/// path delegates verbatim to sim::RunTracking — same pump, same checker
+/// arithmetic — so existing sim outputs are pinned byte-identical.
 RunResult RunWithTransport(TransportKind kind, const RunConfig& config);
 
-/// CheckLinearizable over a unified result: replays the captured serving
-/// transcript (kThreads/kSockets runs with capture set) against the sim
-/// oracle. For a kSim result there is nothing concurrent to check; it
-/// reports non-linearizable with an explanatory failure string.
+/// Runs `protocol` on the threaded transport backend: shards[i] streams
+/// into site i's thread, updates flow through lock-free SPSC mailboxes to
+/// the coordinator (the calling thread), which feeds them to the protocol
+/// and publishes the estimate into a seqlock slot that
+/// options.num_readers concurrent query threads read wait-free. Returns
+/// after every shard is consumed and every thread has joined.
+///
+/// The protocol object itself is only ever touched by the coordinator
+/// thread — protocols stay single-threaded state machines; the
+/// concurrency lives in the transport around them.
+RunResult RunThreaded(sim::Protocol* protocol,
+                      std::span<const std::vector<double>> shards,
+                      const ThreadedRunOptions& options);
+
+/// Runs `protocol` on the sockets transport backend: shards[i] streams
+/// from a forked child process over a Unix-domain socketpair (or loopback
+/// TCP) in the versioned wire framing, a nonblocking poll event loop on
+/// the coordinator reassembles frames and feeds the confined protocol one
+/// update per frame, and every estimate is published through the same
+/// serving layer as the threads backend. Returns once every site has
+/// FIN/FinAck'd (or died per the fault plan) and every child is reaped —
+/// no zombies, no open fds.
+///
+/// The protocol object is only ever touched by the calling thread;
+/// processes own streaming, not protocol state.
+RunResult RunSockets(sim::Protocol* protocol,
+                     std::span<const std::vector<double>> shards,
+                     const SocketRunOptions& options);
+
+/// Splits `stream` round-robin into `num_sites` shards — the canonical
+/// sharding under which the sim transport's RoundRobinAssignment pumps the
+/// exact same per-site subsequences as the concurrent backends' sites.
+std::vector<std::vector<double>> ShardRoundRobin(
+    const std::vector<double>& stream, int num_sites);
+
+/// Inverse of ShardRoundRobin: the canonical single-stream interleaving of
+/// per-site shards, for driving the sim transport on a sharded workload.
+std::vector<double> InterleaveShards(
+    std::span<const std::vector<double>> shards);
+
+/// Verdict of replaying a captured concurrent run against the
+/// deterministic simulator (the oracle).
+struct LinearizabilityReport {
+  bool linearizable = false;
+  int64_t publishes_checked = 0;
+  int64_t samples_checked = 0;
+  /// Empty when linearizable; otherwise the first mismatch, human-readable.
+  std::string failure;
+};
+
+/// Replays run.serving.transcript through `oracle` — a fresh instance of
+/// the same protocol under the same seed, i.e. the deterministic
+/// simulator — and checks that every published estimate and every
+/// reader-retained snapshot (generation g, estimate v) is bit-identical to
+/// the oracle's estimate after exactly g updates. With the single
+/// coordinator as the only writer, matching every read to a prefix of the
+/// one consumption order *is* linearizability of the estimate register.
+/// Requires a kThreads or kSockets run captured with `capture` set; a kSim
+/// result has nothing concurrent to check and reports non-linearizable
+/// with an explanatory failure string.
 LinearizabilityReport CheckLinearizable(const RunResult& run,
                                         sim::Protocol* oracle);
 

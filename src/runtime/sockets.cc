@@ -1,9 +1,5 @@
-#include "runtime/sockets.h"
-
 #include <algorithm>
 #include <cerrno>
-#include <future>
-#include <memory>
 
 #include <poll.h>
 #include <signal.h>
@@ -11,12 +7,10 @@
 #include <unistd.h>
 
 #include "common/check.h"
-#include "common/seqlock.h"
-#include "common/thread_pool.h"
+#include "runtime/process.h"
+#include "runtime/run.h"
 #include "runtime/serving.h"
 #include "runtime/wire.h"
-#include "sim/harness.h"
-#include "sim/protocol.h"
 
 namespace nmc::runtime {
 
@@ -156,27 +150,21 @@ struct SiteState {
 
 }  // namespace
 
-SocketRunResult RunSockets(sim::Protocol* protocol,
-                           std::span<const std::vector<double>> shards,
-                           const SocketRunOptions& options) {
+RunResult RunSockets(sim::Protocol* protocol,
+                     std::span<const std::vector<double>> shards,
+                     const SocketRunOptions& options) {
   NMC_CHECK(protocol != nullptr);
   const int num_sites = protocol->num_sites();
   NMC_CHECK_EQ(static_cast<int>(shards.size()), num_sites);
-  NMC_CHECK_GE(options.num_readers, 0);
   NMC_CHECK_GT(options.epsilon, 0.0);
 
   int64_t total_updates = 0;
   for (const std::vector<double>& shard : shards) {
     total_updates += static_cast<int64_t>(shard.size());
   }
-
-  SocketRunResult run;
-  ThreadedRunResult& result = run.serving;
-  SocketStats& stats = run.stats;
-  if (options.capture) {
-    result.transcript.reserve(static_cast<size_t>(total_updates));
-    result.publish_log.reserve(static_cast<size_t>(total_updates + 16));
-  }
+  RunResult run;
+  run.transport = TransportKind::kSockets;
+  SocketStats& stats = run.sockets;
 
   // Per-site prefix sums of the shard: prefix[s][i] = sum of the first i
   // values. The violation checker charges a raw-link gap to the world in
@@ -190,33 +178,9 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     for (size_t i = 0; i < shard.size(); ++i) p[i + 1] = p[i] + shard[i];
   }
 
-  // Serving layer: identical to the threads backend.
-  common::Seqlock<PublishedEstimate> slot;
-  const auto publish = [&](int64_t generation, double estimate) {
-    slot.Publish(PublishedEstimate{generation, estimate});
-    ++result.publishes;
-    if (options.capture) {
-      result.publish_log.push_back(PublishedEstimate{generation, estimate});
-    }
-  };
-  double estimate = protocol->Estimate();
-  publish(0, estimate);
-
-  common::RuntimeAtomic<bool> run_done{false};
-  std::vector<internal::ReaderStats> reader_stats(
-      static_cast<size_t>(options.num_readers));
-  std::unique_ptr<common::ThreadPool> pool;
-  std::vector<std::future<void>> joins;
-  if (options.num_readers > 0) {
-    pool = std::make_unique<common::ThreadPool>(options.num_readers);
-    joins.reserve(static_cast<size_t>(options.num_readers));
-    for (int r = 0; r < options.num_readers; ++r) {
-      internal::ReaderStats* rs = &reader_stats[static_cast<size_t>(r)];
-      joins.push_back(pool->Submit([&slot, &run_done, rs]() {
-        internal::ReaderLoop(slot, run_done, rs);
-      }));
-    }
-  }
+  // One frame carries one update, so one publish per update.
+  internal::Server server(protocol, options.num_readers, options.capture,
+                          total_updates, total_updates + 16);
 
   // Transport bring-up: listener first (TCP children connect-retry against
   // it), then one child per site.
@@ -250,7 +214,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   // Checker state: world_sum is the exact sum of the generated world (all
   // per-site prefixes up to their world cursors).
   double world_sum = 0.0;
-  int64_t consumed_total = 0;
 
   // Scheduled-kill delivery, frame-granular: checked after every consumed
   // update (and once per round as a backstop) so the SIGKILL lands exactly
@@ -263,7 +226,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
         st.consumed_from >= st.kill_after[st.kill_idx]) {
       (void)kill(st.proc.pid, SIGKILL);
       st.kill_pending_eof = true;
-      st.consumed_at_kill = consumed_total;
+      st.consumed_at_kill = server.updates();
       ++st.kill_idx;
       ++stats.kills_delivered;
     }
@@ -284,21 +247,15 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
                    p[static_cast<size_t>(st.world_next)];
       st.world_next = seq + 1;
     }
-    protocol->ProcessUpdate(s, value);
-    ++consumed_total;
+    server.Feed(s, std::span<const double>(&value, 1));
     ++st.consumed_from;
-    estimate = protocol->Estimate();
-    publish(consumed_total, estimate);
-    if (options.capture) {
-      result.transcript.push_back(TranscriptEntry{s, value});
-    }
-    sim::CheckTrackingStep(estimate, world_sum, options.epsilon,
+    sim::CheckTrackingStep(server.estimate(), world_sum, options.epsilon,
                            options.rel_error_floor, &stats.violation_steps,
                            &stats.max_rel_error);
     ++stats.checked_steps;
     if (st.awaiting_recovery) {
       st.awaiting_recovery = false;
-      const int64_t recovery = consumed_total - st.consumed_at_kill;
+      const int64_t recovery = server.updates() - st.consumed_at_kill;
       stats.max_recovery_updates =
           std::max(stats.max_recovery_updates, recovery);
       if (recovery > options.resync_deadline_updates) {
@@ -420,7 +377,6 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
   std::vector<int> pfd_site;
   pfds.reserve(static_cast<size_t>(num_sites) + 1);
   pfd_site.reserve(static_cast<size_t>(num_sites) + 1);
-  int64_t last_echo = 0;
   int64_t idle_rounds = 0;
   uint8_t rbuf[16384];
 
@@ -534,18 +490,14 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
       maybe_kill(sites[static_cast<size_t>(s)]);
     }
 
-    if (options.echo_period > 0 &&
-        consumed_total - last_echo >= options.echo_period) {
-      last_echo = consumed_total;
+    server.Echo([&](int s, const PublishedEstimate& published) {
+      const SiteState& st = sites[static_cast<size_t>(s)];
       sim::Message echo;
       echo.type = static_cast<int>(FrameType::kEcho);
-      echo.a = estimate;
-      echo.u = consumed_total;
-      for (const SiteState& st : sites) {
-        if (!st.live_fd()) continue;
-        if (SendControl(st.proc.fd, echo, 1)) ++result.echoes_sent;
-      }
-    }
+      echo.a = published.estimate;
+      echo.u = published.generation;
+      return st.live_fd() && SendControl(st.proc.fd, echo, 1);
+    });
 
     if (progressed_this_round) {
       idle_rounds = 0;
@@ -557,8 +509,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
 
   // Teardown: stop the serving layer, then make sure nothing survives us —
   // no zombies, no open fds, regardless of how the loop ended.
-  run_done.store(true, std::memory_order_release);
-  for (std::future<void>& join : joins) join.get();
+  run.serving = server.Finish();
   for (SiteState& st : sites) {
     if (st.proc.pid > 0 || st.proc.fd >= 0) {
       (void)ReapSiteProcess(&st.proc, true);
@@ -569,11 +520,7 @@ SocketRunResult RunSockets(sim::Protocol* protocol,
     stats.generated_updates += st.world_next;
   }
   if (listener >= 0) close(listener);
-  stats.updates_lost = stats.generated_updates - consumed_total;
-
-  result.updates = consumed_total;
-  result.final_published = PublishedEstimate{consumed_total, estimate};
-  internal::FoldReaderStats(&reader_stats, &result);
+  stats.updates_lost = stats.generated_updates - run.serving.updates;
   return run;
 }
 

@@ -1,11 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "runtime/process.h"
-#include "runtime/threaded.h"
 
 namespace nmc::runtime {
 
@@ -44,8 +40,6 @@ struct SocketRunOptions {
   /// the seqlock-published estimate while the run progresses.
   int num_readers = 0;
   bool capture = false;
-  /// Coordinator->site kEcho cadence in consumed updates; 0 = off.
-  int64_t echo_period = 1024;
   /// Sites connect over TCP to a loopback listener instead of inheriting
   /// a Unix socketpair end. Same framing either way.
   bool use_tcp = false;
@@ -66,9 +60,9 @@ struct SocketRunOptions {
   int64_t resync_deadline_updates = 1 << 20;
 };
 
-/// Link- and fault-level counters of one sockets run. The serving-side
-/// counters (updates, publishes, reads, samples) live in the shared
-/// ThreadedRunResult.
+/// Link- and fault-level counters of one sockets run (RunResult::sockets).
+/// The serving-side counters (updates, publishes, reads, samples) live in
+/// RunResult::serving, filled as on the threads backend.
 struct SocketStats {
   /// Frames decoded at ingress, all types, counted before the loss shim.
   int64_t frames = 0;
@@ -111,27 +105,5 @@ struct SocketStats {
   bool timed_out = false;
   int children_reaped = 0;
 };
-
-struct SocketRunResult {
-  /// Same shape the threads backend fills, so CheckLinearizable and the
-  /// serving-layer reporting are transport-agnostic.
-  ThreadedRunResult serving;
-  SocketStats stats;
-};
-
-/// Runs `protocol` on the sockets transport backend: shards[i] streams
-/// from a forked child process over a Unix-domain socketpair (or loopback
-/// TCP) in the versioned wire framing, a nonblocking poll event loop on
-/// the coordinator reassembles frames and feeds the confined protocol
-/// exactly as the sim drive loop would, and every post-update estimate is
-/// published through the same seqlock serving layer as the threads
-/// backend. Returns once every site has FIN/FinAck'd (or died per the
-/// fault plan) and every child is reaped — no zombies, no open fds.
-///
-/// The protocol object is only ever touched by the calling thread;
-/// processes own streaming, not protocol state.
-SocketRunResult RunSockets(sim::Protocol* protocol,
-                           std::span<const std::vector<double>> shards,
-                           const SocketRunOptions& options);
 
 }  // namespace nmc::runtime

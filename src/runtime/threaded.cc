@@ -1,26 +1,16 @@
-#include "runtime/threaded.h"
-
-#include <atomic>
-#include <bit>
-#include <cstdio>
-#include <future>
+#include <functional>
+#include <memory>
 #include <thread>
-#include <utility>
 
 #include "common/atomic_policy.h"
 #include "common/check.h"
-#include "common/seqlock.h"
 #include "common/spsc_queue.h"
-#include "common/thread_pool.h"
+#include "runtime/run.h"
 #include "runtime/serving.h"
-#include "sim/protocol.h"
 
 namespace nmc::runtime {
 
 namespace {
-
-using internal::ReaderLoop;
-using internal::ReaderStats;
 
 void SiteLoop(const std::vector<double>& shard,
               common::SpscQueue<double>* inbox,
@@ -47,13 +37,12 @@ void SiteLoop(const std::vector<double>& shard,
 
 }  // namespace
 
-ThreadedRunResult RunThreaded(sim::Protocol* protocol,
-                              std::span<const std::vector<double>> shards,
-                              const ThreadedRunOptions& options) {
+RunResult RunThreaded(sim::Protocol* protocol,
+                      std::span<const std::vector<double>> shards,
+                      const ThreadedRunOptions& options) {
   NMC_CHECK(protocol != nullptr);
   const int num_sites = protocol->num_sites();
   NMC_CHECK_EQ(static_cast<int>(shards.size()), num_sites);
-  NMC_CHECK_GE(options.num_readers, 0);
   NMC_CHECK_GE(options.mailbox_capacity, 1);
   NMC_CHECK_GE(options.max_pull, 1);
 
@@ -61,12 +50,9 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   for (const std::vector<double>& shard : shards) {
     total_updates += static_cast<int64_t>(shard.size());
   }
-
-  ThreadedRunResult result;
-  if (options.capture) {
-    result.transcript.reserve(static_cast<size_t>(total_updates));
-    result.publish_log.reserve(static_cast<size_t>(total_updates / 8 + 16));
-  }
+  // One publish per ProcessBatch return: far fewer than one per update.
+  internal::Server server(protocol, options.num_readers, options.capture,
+                          total_updates, total_updates / 8 + 16);
 
   std::vector<std::unique_ptr<common::SpscQueue<double>>> inboxes;
   std::vector<std::unique_ptr<common::SpscQueue<PublishedEstimate>>> echoes;
@@ -84,51 +70,20 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
   for (int i = 0; i < num_sites; ++i) {
     site_done[i].store(false, std::memory_order_relaxed);
   }
-  common::RuntimeAtomic<bool> run_done{false};
   common::RuntimeAtomic<int64_t> echoes_received{0};
 
-  common::Seqlock<PublishedEstimate> slot;
-  const auto publish = [&](int64_t generation, double estimate) {
-    slot.Publish(PublishedEstimate{generation, estimate});
-    ++result.publishes;
-    if (options.capture) {
-      result.publish_log.push_back(PublishedEstimate{generation, estimate});
-    }
-  };
-  publish(0, protocol->Estimate());
-
-  std::vector<ReaderStats> reader_stats(
-      static_cast<size_t>(options.num_readers));
-
-  // Sites and readers on pool threads; the coordinator is the calling
-  // thread, so the pool never has to schedule a task that other running
-  // tasks spin-wait on.
-  common::ThreadPool pool(num_sites + options.num_readers);
-  std::vector<std::future<void>> joins;
-  joins.reserve(static_cast<size_t>(num_sites + options.num_readers));
+  // Sites on their own threads; the coordinator is the calling thread.
+  std::vector<std::thread> sites;
+  sites.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
-    joins.push_back(pool.Submit(
-        [&shards, &inboxes, &echoes, &site_done, &echoes_received, i]() {
-          SiteLoop(shards[static_cast<size_t>(i)],
-                   inboxes[static_cast<size_t>(i)].get(),
-                   echoes[static_cast<size_t>(i)].get(), &site_done[i],
-                   &echoes_received);
-        }));
-  }
-  for (int r = 0; r < options.num_readers; ++r) {
-    ReaderStats* stats = &reader_stats[static_cast<size_t>(r)];
-    joins.push_back(pool.Submit([&slot, &run_done, stats]() {
-      ReaderLoop(slot, run_done, stats);
-    }));
+    sites.emplace_back(SiteLoop, std::cref(shards[static_cast<size_t>(i)]),
+                       inboxes[static_cast<size_t>(i)].get(),
+                       echoes[static_cast<size_t>(i)].get(), &site_done[i],
+                       &echoes_received);
   }
 
   // Coordinator: round-robin over the mailboxes, feeding contiguous spans
-  // straight from the ring storage into ProcessBatch (zero copies), and
-  // publishing the estimate at every point the protocol may have changed
-  // it (each ProcessBatch return).
-  int64_t consumed_total = 0;
-  int64_t last_echo = 0;
-  double estimate = protocol->Estimate();
+  // straight from the ring storage (zero copies).
   while (true) {
     bool progressed = false;
     for (int s = 0; s < num_sites; ++s) {
@@ -137,34 +92,12 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
           inbox.PeekContiguous(static_cast<size_t>(options.max_pull));
       if (batch.empty()) continue;
       progressed = true;
-      size_t pos = 0;
-      while (pos < batch.size()) {
-        const int64_t consumed =
-            protocol->ProcessBatch(s, batch.subspan(pos));
-        NMC_CHECK_GE(consumed, 1);
-        if (options.capture) {
-          for (int64_t j = 0; j < consumed; ++j) {
-            result.transcript.push_back(TranscriptEntry{
-                s, batch[pos + static_cast<size_t>(j)]});
-          }
-        }
-        pos += static_cast<size_t>(consumed);
-        consumed_total += consumed;
-        estimate = protocol->Estimate();
-        publish(consumed_total, estimate);
-      }
+      server.Feed(s, batch);
       inbox.Advance(batch.size());
     }
-    if (options.echo_period > 0 &&
-        consumed_total - last_echo >= options.echo_period) {
-      last_echo = consumed_total;
-      const PublishedEstimate echo{consumed_total, estimate};
-      for (int s = 0; s < num_sites; ++s) {
-        if (echoes[static_cast<size_t>(s)]->TryPush(echo)) {
-          ++result.echoes_sent;
-        }
-      }
-    }
+    server.Echo([&](int s, const PublishedEstimate& echo) {
+      return echoes[static_cast<size_t>(s)]->TryPush(echo);
+    });
     if (progressed) continue;
     // Check done flags before re-probing the mailboxes: a site's pushes
     // happen-before its done flag, so done && empty is conclusive.
@@ -179,116 +112,15 @@ ThreadedRunResult RunThreaded(sim::Protocol* protocol,
     if (finished) break;
     std::this_thread::yield();
   }
-  NMC_CHECK_EQ(consumed_total, total_updates);
-  run_done.store(true, std::memory_order_release);
-  for (std::future<void>& join : joins) join.get();
+  NMC_CHECK_EQ(server.updates(), total_updates);
+  for (std::thread& site : sites) site.join();
 
-  result.updates = consumed_total;
-  result.echoes_received = echoes_received.load(std::memory_order_relaxed);
-  result.final_published = PublishedEstimate{consumed_total, estimate};
-  internal::FoldReaderStats(&reader_stats, &result);
-  return result;
-}
-
-std::vector<std::vector<double>> ShardRoundRobin(
-    const std::vector<double>& stream, int num_sites) {
-  NMC_CHECK_GE(num_sites, 1);
-  std::vector<std::vector<double>> shards(static_cast<size_t>(num_sites));
-  for (std::vector<double>& shard : shards) {
-    shard.reserve(stream.size() / static_cast<size_t>(num_sites) + 1);
-  }
-  for (size_t t = 0; t < stream.size(); ++t) {
-    shards[t % static_cast<size_t>(num_sites)].push_back(stream[t]);
-  }
-  return shards;
-}
-
-std::vector<double> InterleaveShards(
-    std::span<const std::vector<double>> shards) {
-  size_t total = 0;
-  for (const std::vector<double>& shard : shards) total += shard.size();
-  std::vector<double> stream;
-  stream.reserve(total);
-  for (size_t round = 0; stream.size() < total; ++round) {
-    for (const std::vector<double>& shard : shards) {
-      if (round < shard.size()) stream.push_back(shard[round]);
-    }
-  }
-  return stream;
-}
-
-namespace {
-
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-std::string Mismatch(const char* what, int64_t generation, double got,
-                     double want) {
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "%s at generation %lld: observed %.17g, oracle %.17g", what,
-                static_cast<long long>(generation), got, want);
-  return buffer;
-}
-
-}  // namespace
-
-LinearizabilityReport CheckLinearizable(const ThreadedRunResult& run,
-                                        sim::Protocol* oracle) {
-  NMC_CHECK(oracle != nullptr);
-  LinearizabilityReport report;
-  if (run.transcript.empty() && run.updates > 0) {
-    report.failure = "run was not captured (set ThreadedRunOptions::capture)";
-    return report;
-  }
-  if (run.generation_regressions > 0) {
-    report.failure = "a reader observed the published generation regress";
-    return report;
-  }
-
-  // The oracle trajectory: the deterministic simulator's estimate after
-  // each prefix of the captured consumption order.
-  std::vector<double> trajectory;
-  trajectory.reserve(run.transcript.size() + 1);
-  trajectory.push_back(oracle->Estimate());
-  for (const TranscriptEntry& entry : run.transcript) {
-    oracle->ProcessUpdate(static_cast<int>(entry.site), entry.value);
-    trajectory.push_back(oracle->Estimate());
-  }
-
-  const auto check = [&](const char* what, int64_t generation,
-                         double estimate) {
-    if (generation < 0 ||
-        generation >= static_cast<int64_t>(trajectory.size())) {
-      report.failure = Mismatch(what, generation, estimate, 0.0) +
-                       " (generation outside the replayed range)";
-      return false;
-    }
-    const double want = trajectory[static_cast<size_t>(generation)];
-    if (!SameBits(estimate, want)) {
-      report.failure = Mismatch(what, generation, estimate, want);
-      return false;
-    }
-    return true;
-  };
-
-  for (const PublishedEstimate& published : run.publish_log) {
-    if (!check("publish", published.generation, published.estimate)) {
-      return report;
-    }
-    ++report.publishes_checked;
-  }
-  for (const std::vector<ReadSample>& samples : run.reader_samples) {
-    for (const ReadSample& sample : samples) {
-      if (!check("reader snapshot", sample.generation, sample.estimate)) {
-        return report;
-      }
-      ++report.samples_checked;
-    }
-  }
-  report.linearizable = true;
-  return report;
+  RunResult out;
+  out.transport = TransportKind::kThreads;
+  out.serving = server.Finish();
+  out.serving.echoes_received =
+      echoes_received.load(std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace nmc::runtime

@@ -1,18 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
 #include <vector>
-
-#include "runtime/transport.h"
-
-namespace nmc::sim {
-// Declarations below take this only by pointer, so a forward declaration
-// keeps the sim headers out of every transport user's include chain.
-class Protocol;
-}  // namespace nmc::sim
 
 namespace nmc::runtime {
 
@@ -48,15 +37,13 @@ struct ThreadedRunOptions {
   /// Max updates the coordinator pulls from one mailbox per visit — the
   /// fairness quantum across sites.
   int64_t max_pull = 256;
-  /// Coordinator->site estimate echoes: after every `echo_period` consumed
-  /// updates the current published estimate is offered to every site's
-  /// reverse mailbox (dropped, not blocked on, when a site lags). 0 = off.
-  int64_t echo_period = 1024;
   /// Record the transcript and the publish log for the linearizability
   /// check. Costs O(n) memory — meant for tests and verification runs.
   bool capture = false;
 };
 
+/// The serving layer's outcome, filled the same way by both concurrent
+/// backends (RunResult::serving).
 struct ThreadedRunResult {
   /// Updates consumed by the coordinator (== the summed shard lengths).
   int64_t updates = 0;
@@ -73,6 +60,10 @@ struct ThreadedRunResult {
   /// Reader-observed generation going backwards — any nonzero value is a
   /// published-estimate ordering bug.
   int64_t generation_regressions = 0;
+  /// Summed over readers: each reader's running time, from its first poll
+  /// to the run's end. total_reads over the mean of it is the read rate of
+  /// a reader that was actually running.
+  double reader_seconds = 0.0;
   PublishedEstimate final_published;
   /// Captured only when options.capture is set.
   std::vector<TranscriptEntry> transcript;
@@ -80,57 +71,5 @@ struct ThreadedRunResult {
   /// Per-reader retained snapshots (capture-independent).
   std::vector<std::vector<ReadSample>> reader_samples;
 };
-
-/// Runs `protocol` on the threaded transport backend: shards[i] streams
-/// into site i's thread (spawned on a common::ThreadPool), updates flow
-/// through lock-free SPSC mailboxes to the coordinator (the calling
-/// thread), which applies them via Protocol::ProcessBatch and publishes
-/// the estimate into a seqlock slot that options.num_readers concurrent
-/// query threads read wait-free. Returns after every shard is consumed and
-/// every thread has joined.
-///
-/// The protocol object itself is only ever touched by the coordinator
-/// thread — protocols stay single-threaded state machines; the concurrency
-/// lives in the transport around them.
-///
-/// Internal building block of runtime::RunWithTransport (runtime/run.h),
-/// which is the public per-transport entry point; call this directly only
-/// from code that is explicitly threads-backend-specific.
-ThreadedRunResult RunThreaded(sim::Protocol* protocol,
-                              std::span<const std::vector<double>> shards,
-                              const ThreadedRunOptions& options);
-
-/// Splits `stream` round-robin into `num_sites` shards — the canonical
-/// sharding under which the sim transport's RoundRobinAssignment pumps the
-/// exact same per-site subsequences as the threaded backend's site
-/// threads.
-std::vector<std::vector<double>> ShardRoundRobin(
-    const std::vector<double>& stream, int num_sites);
-
-/// Inverse of ShardRoundRobin: the canonical single-stream interleaving of
-/// per-site shards, for driving the sim transport on a sharded workload.
-std::vector<double> InterleaveShards(
-    std::span<const std::vector<double>> shards);
-
-/// Verdict of replaying a captured threaded run against the deterministic
-/// simulator (the oracle).
-struct LinearizabilityReport {
-  bool linearizable = false;
-  int64_t publishes_checked = 0;
-  int64_t samples_checked = 0;
-  /// Empty when linearizable; otherwise the first mismatch, human-readable.
-  std::string failure;
-};
-
-/// Replays run.transcript through `oracle` — a fresh instance of the same
-/// protocol under the same seed, i.e. the deterministic simulator — and
-/// checks that every published estimate and every reader-retained snapshot
-/// (generation g, estimate v) is bit-identical to the oracle's estimate
-/// after exactly g updates. With the single coordinator as the only
-/// writer, matching every read to a prefix of the one consumption order
-/// *is* linearizability of the estimate register. Requires a run captured
-/// with options.capture.
-LinearizabilityReport CheckLinearizable(const ThreadedRunResult& run,
-                                        sim::Protocol* oracle);
 
 }  // namespace nmc::runtime

@@ -174,6 +174,40 @@ TEST(RunApiTest, SocketsBackendLinearizesThroughUnifiedApi) {
   EXPECT_TRUE(report.linearizable) << report.failure;
 }
 
+// The captured publish log is the serving layer's whole history on both
+// concurrent backends: generation 0 first, strictly increasing, ending at
+// the last consumed update, one entry per counted publish.
+TEST(RunApiTest, PublishLogRunsFromZeroToEveryUpdate) {
+  const int64_t n = 8192;
+  const int k = 3;
+  const std::vector<double> stream = streams::BernoulliStream(n, 0.1, 17);
+  for (const TransportKind kind :
+       {TransportKind::kThreads, TransportKind::kSockets}) {
+    SCOPED_TRACE(TransportKindName(kind));
+    const auto protocol = MakeCounter(k, n);
+    RunConfig config;
+    config.protocol = protocol.get();
+    config.stream = &stream;
+    config.threaded.capture = true;
+    config.threaded.num_readers = 1;
+    config.sockets.capture = true;
+    config.sockets.num_readers = 1;
+    const RunResult run = RunWithTransport(kind, config);
+    EXPECT_EQ(run.transport, kind);
+    const std::vector<PublishedEstimate>& log = run.serving.publish_log;
+    ASSERT_FALSE(log.empty());
+    EXPECT_EQ(log.front().generation, 0);
+    for (size_t i = 1; i < log.size(); ++i) {
+      ASSERT_GT(log[i].generation, log[i - 1].generation) << "entry " << i;
+    }
+    EXPECT_EQ(log.back().generation, n);
+    EXPECT_EQ(run.serving.final_published.generation, log.back().generation);
+    EXPECT_EQ(std::bit_cast<uint64_t>(run.serving.final_published.estimate),
+              std::bit_cast<uint64_t>(log.back().estimate));
+    EXPECT_EQ(run.serving.publishes, static_cast<int64_t>(log.size()));
+  }
+}
+
 TEST(RunApiTest, SimResultIsNotLinearizabilityCheckable) {
   const int64_t n = 1024;
   const int k = 2;

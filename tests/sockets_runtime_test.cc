@@ -61,14 +61,14 @@ TEST(SocketsRuntimeTest, ConsumesEveryUpdateAndTearsDownCleanly) {
   const auto shards = TestShards(n, k, 91);
   const auto protocol = MakeCounter(k, n);
   SocketRunOptions options;
-  const SocketRunResult result = RunSockets(protocol.get(), shards, options);
+  const RunResult result = RunSockets(protocol.get(), shards, options);
   EXPECT_EQ(result.serving.updates, n);
-  EXPECT_FALSE(result.stats.timed_out);
-  EXPECT_EQ(result.stats.unexpected_exits, 0);
-  EXPECT_EQ(result.stats.children_reaped, k);
-  EXPECT_EQ(result.stats.updates_lost, 0);
-  EXPECT_EQ(result.stats.generated_updates, n);
-  EXPECT_GE(result.stats.frames, n);  // n updates + k FINs at least
+  EXPECT_FALSE(result.sockets.timed_out);
+  EXPECT_EQ(result.sockets.unexpected_exits, 0);
+  EXPECT_EQ(result.sockets.children_reaped, k);
+  EXPECT_EQ(result.sockets.updates_lost, 0);
+  EXPECT_EQ(result.sockets.generated_updates, n);
+  EXPECT_GE(result.sockets.frames, n);  // n updates + k FINs at least
 }
 
 TEST(SocketsRuntimeTest, CapturedRunReplaysBitIdenticallyAgainstSimOracle) {
@@ -79,11 +79,11 @@ TEST(SocketsRuntimeTest, CapturedRunReplaysBitIdenticallyAgainstSimOracle) {
   SocketRunOptions options;
   options.capture = true;
   options.num_readers = 2;
-  const SocketRunResult result = RunSockets(protocol.get(), shards, options);
+  const RunResult result = RunSockets(protocol.get(), shards, options);
   ASSERT_EQ(result.serving.updates, n);
   const auto oracle = MakeCounter(k, n);
   const LinearizabilityReport report =
-      CheckLinearizable(result.serving, oracle.get());
+      CheckLinearizable(result, oracle.get());
   EXPECT_TRUE(report.linearizable) << report.failure;
   EXPECT_EQ(report.publishes_checked, result.serving.publishes);
   EXPECT_GT(report.samples_checked, 0);
@@ -105,13 +105,13 @@ TEST(SocketsRuntimeTest, MalformedUpdateEndsOnlyThatSitesStream) {
     const auto protocol = MakeCounter(k, n);
     SocketRunOptions options;
     options.reliable = reliable;
-    const SocketRunResult result = RunSockets(protocol.get(), shards, options);
-    EXPECT_EQ(result.stats.rejected_updates, 1);
+    const RunResult result = RunSockets(protocol.get(), shards, options);
+    EXPECT_EQ(result.sockets.rejected_updates, 1);
     EXPECT_EQ(result.serving.updates, n - owed);
-    EXPECT_EQ(result.stats.generated_updates, n - owed);
-    EXPECT_EQ(result.stats.unexpected_exits, 0);
-    EXPECT_EQ(result.stats.children_reaped, k);
-    EXPECT_FALSE(result.stats.timed_out);
+    EXPECT_EQ(result.sockets.generated_updates, n - owed);
+    EXPECT_EQ(result.sockets.unexpected_exits, 0);
+    EXPECT_EQ(result.sockets.children_reaped, k);
+    EXPECT_FALSE(result.sockets.timed_out);
   }
 }
 
@@ -126,18 +126,18 @@ TEST(SocketsRuntimeTest, RawLinkUnderLossViolatesAndLosesUpdates) {
   options.faults.seed = 7;
   options.epsilon = 0.002;
   options.rel_error_floor = 32.0;
-  const SocketRunResult result = RunSockets(&protocol, shards, options);
-  EXPECT_GT(result.stats.drops_injected, 0);
-  EXPECT_GT(result.stats.updates_lost, 0);
-  EXPECT_GT(result.stats.violation_steps, 0);
-  EXPECT_EQ(result.stats.nacks_sent, 0) << "raw link must never NACK";
+  const RunResult result = RunSockets(&protocol, shards, options);
+  EXPECT_GT(result.sockets.drops_injected, 0);
+  EXPECT_GT(result.sockets.updates_lost, 0);
+  EXPECT_GT(result.sockets.violation_steps, 0);
+  EXPECT_EQ(result.sockets.nacks_sent, 0) << "raw link must never NACK";
   // Lost = generated-but-never-consumed; drops at a shard's very tail
   // never enter the generated world at all, so generated <= n.
-  EXPECT_EQ(result.serving.updates + result.stats.updates_lost,
-            result.stats.generated_updates);
-  EXPECT_LE(result.stats.generated_updates, n);
+  EXPECT_EQ(result.serving.updates + result.sockets.updates_lost,
+            result.sockets.generated_updates);
+  EXPECT_LE(result.sockets.generated_updates, n);
   EXPECT_LT(result.serving.updates, n);
-  EXPECT_FALSE(result.stats.timed_out);
+  EXPECT_FALSE(result.sockets.timed_out);
 }
 
 TEST(SocketsRuntimeTest, ReliableLinkUnderLossIsExact) {
@@ -150,15 +150,30 @@ TEST(SocketsRuntimeTest, ReliableLinkUnderLossIsExact) {
   options.faults.loss = 0.02;
   options.faults.seed = 7;
   options.epsilon = 0.002;
-  const SocketRunResult result = RunSockets(&protocol, shards, options);
+  const RunResult result = RunSockets(&protocol, shards, options);
   EXPECT_EQ(result.serving.updates, n);
-  EXPECT_EQ(result.stats.updates_lost, 0);
-  EXPECT_EQ(result.stats.violation_steps, 0);
-  EXPECT_GT(result.stats.drops_injected, 0);
-  EXPECT_GT(result.stats.nacks_sent, 0) << "loss must trigger go-back-N";
-  EXPECT_GT(result.stats.duplicate_updates, 0)
+  EXPECT_EQ(result.sockets.updates_lost, 0);
+  EXPECT_EQ(result.sockets.violation_steps, 0);
+  EXPECT_GT(result.sockets.drops_injected, 0);
+  EXPECT_GT(result.sockets.nacks_sent, 0) << "loss must trigger go-back-N";
+  EXPECT_GT(result.sockets.duplicate_updates, 0)
       << "rewind retransmissions necessarily overlap";
-  EXPECT_FALSE(result.stats.timed_out);
+  EXPECT_FALSE(result.sockets.timed_out);
+}
+
+// The coordinator offers its estimate to every live site once per echo
+// period; sites count what they drained and report it in their kFin.
+TEST(SocketsRuntimeTest, EchoesFlowBackToSites) {
+  const int64_t n = 16384;
+  const int k = 2;
+  const auto shards = TestShards(n, k, 97);
+  const auto protocol = MakeCounter(k, n);
+  SocketRunOptions options;
+  const RunResult result = RunSockets(protocol.get(), shards, options);
+  EXPECT_EQ(result.serving.updates, n);
+  EXPECT_GT(result.serving.echoes_sent, 0);
+  EXPECT_LE(result.sockets.echoes_acked, result.serving.echoes_sent);
+  EXPECT_FALSE(result.sockets.timed_out);
 }
 
 TEST(SocketsRuntimeTest, TcpLoopbackCarriesTheSameRun) {
@@ -168,11 +183,11 @@ TEST(SocketsRuntimeTest, TcpLoopbackCarriesTheSameRun) {
   const auto protocol = MakeCounter(k, n);
   SocketRunOptions options;
   options.use_tcp = true;
-  const SocketRunResult result = RunSockets(protocol.get(), shards, options);
+  const RunResult result = RunSockets(protocol.get(), shards, options);
   EXPECT_EQ(result.serving.updates, n);
-  EXPECT_EQ(result.stats.unexpected_exits, 0);
-  EXPECT_EQ(result.stats.children_reaped, k);
-  EXPECT_FALSE(result.stats.timed_out);
+  EXPECT_EQ(result.sockets.unexpected_exits, 0);
+  EXPECT_EQ(result.sockets.children_reaped, k);
+  EXPECT_FALSE(result.sockets.timed_out);
 }
 
 #if !NMC_TSAN
@@ -187,19 +202,19 @@ TEST(SocketsRuntimeTest, SigkilledSiteRespawnsAndFinishesExactly) {
   options.epsilon = 0.002;
   options.resync_deadline_updates = n;
   options.faults.kills.push_back(SiteKillSpec{1, 512});
-  const SocketRunResult result = RunSockets(&protocol, shards, options);
-  EXPECT_EQ(result.stats.kills_delivered, 1);
-  EXPECT_EQ(result.stats.respawns, 1);
-  EXPECT_TRUE(result.stats.all_kills_recovered);
-  EXPECT_GT(result.stats.max_recovery_updates, 0);
-  EXPECT_LE(result.stats.max_recovery_updates, n);
+  const RunResult result = RunSockets(&protocol, shards, options);
+  EXPECT_EQ(result.sockets.kills_delivered, 1);
+  EXPECT_EQ(result.sockets.respawns, 1);
+  EXPECT_TRUE(result.sockets.all_kills_recovered);
+  EXPECT_GT(result.sockets.max_recovery_updates, 0);
+  EXPECT_LE(result.sockets.max_recovery_updates, n);
   EXPECT_EQ(result.serving.updates, n)
       << "the replacement incarnation must finish the shard";
-  EXPECT_EQ(result.stats.violation_steps, 0);
-  EXPECT_EQ(result.stats.updates_lost, 0);
-  EXPECT_EQ(result.stats.unexpected_exits, 0);
+  EXPECT_EQ(result.sockets.violation_steps, 0);
+  EXPECT_EQ(result.sockets.updates_lost, 0);
+  EXPECT_EQ(result.sockets.unexpected_exits, 0);
   // k children FIN'd plus one killed incarnation reaped on EOF.
-  EXPECT_EQ(result.stats.children_reaped, k + 1);
+  EXPECT_EQ(result.sockets.children_reaped, k + 1);
 }
 
 TEST(SocketsRuntimeTest, SigkillOnRawLinkStaysDeadAndTearsDown) {
@@ -211,13 +226,13 @@ TEST(SocketsRuntimeTest, SigkillOnRawLinkStaysDeadAndTearsDown) {
   options.reliable = false;
   options.epsilon = 0.002;
   options.faults.kills.push_back(SiteKillSpec{2, 256});
-  const SocketRunResult result = RunSockets(&protocol, shards, options);
-  EXPECT_EQ(result.stats.kills_delivered, 1);
-  EXPECT_EQ(result.stats.respawns, 0);
-  EXPECT_FALSE(result.stats.all_kills_recovered);
+  const RunResult result = RunSockets(&protocol, shards, options);
+  EXPECT_EQ(result.sockets.kills_delivered, 1);
+  EXPECT_EQ(result.sockets.respawns, 0);
+  EXPECT_FALSE(result.sockets.all_kills_recovered);
   EXPECT_LT(result.serving.updates, n) << "the dead site's tail is gone";
-  EXPECT_EQ(result.stats.children_reaped, k);
-  EXPECT_FALSE(result.stats.timed_out);
+  EXPECT_EQ(result.sockets.children_reaped, k);
+  EXPECT_FALSE(result.sockets.timed_out);
 }
 
 #endif  // !NMC_TSAN

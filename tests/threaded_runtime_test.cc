@@ -8,6 +8,7 @@
 
 #include "core/nonmonotonic_counter.h"
 #include "registry/builtin.h"
+#include "runtime/run.h"
 #include "runtime/transport.h"
 #include "sim/registry.h"
 #include "streams/bernoulli.h"
@@ -60,13 +61,13 @@ TEST(ThreadedRuntimeTest, ConsumesEveryUpdateAndPublishesFinalGeneration) {
   const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
   ThreadedRunOptions options;
   options.num_readers = 4;
-  const ThreadedRunResult result =
+  const RunResult result =
       RunThreaded(protocol.get(), shards, options);
-  EXPECT_EQ(result.updates, n);
-  EXPECT_EQ(result.final_published.generation, n);
-  EXPECT_GE(result.publishes, 1);
-  EXPECT_EQ(result.generation_regressions, 0);
-  EXPECT_GT(result.total_reads, 0);
+  EXPECT_EQ(result.serving.updates, n);
+  EXPECT_EQ(result.serving.final_published.generation, n);
+  EXPECT_GE(result.serving.publishes, 1);
+  EXPECT_EQ(result.serving.generation_regressions, 0);
+  EXPECT_GT(result.serving.total_reads, 0);
 }
 
 // The tentpole's correctness claim: with k site threads and m concurrent
@@ -82,9 +83,9 @@ TEST(ThreadedRuntimeTest, CapturedRunIsLinearizableAgainstSimOracle) {
   ThreadedRunOptions options;
   options.num_readers = 4;
   options.capture = true;
-  const ThreadedRunResult result =
+  const RunResult result =
       RunThreaded(protocol.get(), shards, options);
-  ASSERT_EQ(static_cast<int64_t>(result.transcript.size()), n);
+  ASSERT_EQ(static_cast<int64_t>(result.serving.transcript.size()), n);
 
   const std::unique_ptr<sim::Protocol> oracle = MakeCounter(k, n);
   const LinearizabilityReport report =
@@ -104,11 +105,11 @@ TEST(ThreadedRuntimeTest, LinearizabilityCheckDetectsCorruption) {
   const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
   ThreadedRunOptions options;
   options.capture = true;
-  ThreadedRunResult result = RunThreaded(protocol.get(), shards, options);
+  RunResult result = RunThreaded(protocol.get(), shards, options);
   // Flip the sign of an early consumed update: the oracle's trajectory
   // diverges by 2 from there on, so some later publish must mismatch.
-  ASSERT_GT(result.transcript.size(), 16u);
-  result.transcript[7].value = -result.transcript[7].value;
+  ASSERT_GT(result.serving.transcript.size(), 16u);
+  result.serving.transcript[7].value = -result.serving.transcript[7].value;
   const std::unique_ptr<sim::Protocol> oracle = MakeCounter(k, n);
   const LinearizabilityReport report =
       CheckLinearizable(result, oracle.get());
@@ -128,9 +129,9 @@ TEST(ThreadedRuntimeTest, SurvivesTinyMailboxBackpressure) {
   options.mailbox_capacity = 4;
   options.max_pull = 2;
   options.capture = true;
-  const ThreadedRunResult result =
+  const RunResult result =
       RunThreaded(protocol.get(), shards, options);
-  EXPECT_EQ(result.updates, n);
+  EXPECT_EQ(result.serving.updates, n);
   const std::unique_ptr<sim::Protocol> oracle = MakeCounter(k, n);
   EXPECT_TRUE(CheckLinearizable(result, oracle.get()).linearizable);
 }
@@ -142,11 +143,10 @@ TEST(ThreadedRuntimeTest, EchoesFlowBackToSites) {
   const std::vector<std::vector<double>> shards = ShardRoundRobin(stream, k);
   const std::unique_ptr<sim::Protocol> protocol = MakeCounter(k, n);
   ThreadedRunOptions options;
-  options.echo_period = 512;
-  const ThreadedRunResult result =
+  const RunResult result =
       RunThreaded(protocol.get(), shards, options);
-  EXPECT_GT(result.echoes_sent, 0);
-  EXPECT_LE(result.echoes_received, result.echoes_sent);
+  EXPECT_GT(result.serving.echoes_sent, 0);
+  EXPECT_LE(result.serving.echoes_received, result.serving.echoes_sent);
 }
 
 // Phase 2 on real threads: once the drift resolves, each ProcessBatch
@@ -168,15 +168,15 @@ TEST(ThreadedRuntimeTest, Phase2ConsumesWholeSpansAndStaysLinearizable) {
   ThreadedRunOptions options;
   options.num_readers = 1;
   options.capture = true;
-  const ThreadedRunResult result = RunThreaded(&counter, shards, options);
-  EXPECT_EQ(result.updates, n);
+  const RunResult result = RunThreaded(&counter, shards, options);
+  EXPECT_EQ(result.serving.updates, n);
   EXPECT_TRUE(counter.diagnostics().phase2_active);
-  EXPECT_LE(result.publishes, result.updates / 16);
+  EXPECT_LE(result.serving.publishes, result.serving.updates / 16);
 
   core::NonMonotonicCounter oracle(k, counter_options);
   const LinearizabilityReport report = CheckLinearizable(result, &oracle);
   EXPECT_TRUE(report.linearizable) << report.failure;
-  EXPECT_EQ(report.publishes_checked, result.publishes);
+  EXPECT_EQ(report.publishes_checked, result.serving.publishes);
 }
 
 TEST(ThreadedRuntimeTest, SingleSiteNoReadersDegeneratesToSequentialFeed) {
@@ -186,13 +186,13 @@ TEST(ThreadedRuntimeTest, SingleSiteNoReadersDegeneratesToSequentialFeed) {
   const std::unique_ptr<sim::Protocol> protocol = MakeCounter(1, n);
   ThreadedRunOptions options;
   options.capture = true;
-  const ThreadedRunResult result =
+  const RunResult result =
       RunThreaded(protocol.get(), shards, options);
-  EXPECT_EQ(result.updates, n);
+  EXPECT_EQ(result.serving.updates, n);
   // With one site the consumption order IS the stream order.
-  for (size_t t = 0; t < result.transcript.size(); ++t) {
-    ASSERT_EQ(result.transcript[t].site, 0);
-    ASSERT_EQ(result.transcript[t].value, stream[t]);
+  for (size_t t = 0; t < result.serving.transcript.size(); ++t) {
+    ASSERT_EQ(result.serving.transcript[t].site, 0);
+    ASSERT_EQ(result.serving.transcript[t].value, stream[t]);
   }
 }
 
