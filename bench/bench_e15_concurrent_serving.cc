@@ -17,7 +17,9 @@
 //
 // Each rate is the median of kPasses timed passes, printed with its
 // interquartile range: one pass over 2^16 updates lasts a few ms, and a
-// single pass swung 2x between runs of the same binary. Every reported
+// single pass swung 2x between runs of the same binary. A pass's read rate
+// is its total reads over the readers' mean CPU time, so a reader the host
+// starts late or deschedules does not read as a slow one. Every reported
 // median is also recorded via RecordMetric, so the BENCH json carries
 // bench/bench_e15_concurrent_serving/<metric> rows for
 // scripts/compare_bench.py.
@@ -172,9 +174,10 @@ ServingPass RunServingPass(const E15Options& options,
     pass.updates_per_sec =
         static_cast<double>(result.serving.updates) / elapsed;
   }
-  // Reads over the readers' mean running time, not the pass's wall time: a
-  // reader that starts late on a loaded host then reads at the rate it
-  // actually served, instead of diluting the figure with time it never ran.
+  // Reads over the readers' mean running (CPU) time, not the pass's wall
+  // time: a reader the host starts late or deschedules then reads at the
+  // rate it served while running, instead of diluting the figure with time
+  // it never ran.
   const double reader_seconds = result.serving.reader_seconds / readers;
   if (reader_seconds > 0.0) {
     pass.reads_per_sec =
@@ -328,7 +331,7 @@ int main(int argc, char** argv) {
         points.back().reads_per_sec.median / first.reads_per_sec.median;
     RecordMetric("reader_scaling", scaling);
     std::printf("reader scaling m=%d vs m=%d: %.2fx (wait-free reads; "
-                "scaling needs >= m cores)\n",
+                "rates per second of reader CPU time)\n",
                 points.back().readers, first.readers, scaling);
   }
 

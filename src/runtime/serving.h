@@ -1,12 +1,13 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <time.h>
 
 #include "common/atomic_policy.h"
 #include "common/check.h"
@@ -148,9 +149,6 @@ class Server {
   }
 
   void Read(Reader* reader) const {
-    // nmc-lint: allow(NO_WALLCLOCK_IN_SIM) a reader's running time feeds only ThreadedRunResult::reader_seconds, never the protocol or a published estimate
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point start = Clock::now();
     int64_t last_generation = 0;
     while (!done_.load(std::memory_order_acquire)) {
       PublishedEstimate snapshot;
@@ -173,8 +171,12 @@ class Server {
       }
       if (reader->reads % kReaderYieldEvery == 0) std::this_thread::yield();
     }
-    reader->seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    // The thread's CPU time, not the time since it started: on a loaded
+    // host a reader can be descheduled for most of the run.
+    timespec cpu{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu);
+    reader->seconds = static_cast<double>(cpu.tv_sec) +
+                      static_cast<double>(cpu.tv_nsec) * 1e-9;
   }
 
   void StopReaders() {

@@ -50,10 +50,6 @@ RunResult RunThreaded(sim::Protocol* protocol,
   for (const std::vector<double>& shard : shards) {
     total_updates += static_cast<int64_t>(shard.size());
   }
-  // One publish per ProcessBatch return: far fewer than one per update.
-  internal::Server server(protocol, options.num_readers, options.capture,
-                          total_updates, total_updates / 8 + 16);
-
   std::vector<std::unique_ptr<common::SpscQueue<double>>> inboxes;
   std::vector<std::unique_ptr<common::SpscQueue<PublishedEstimate>>> echoes;
   inboxes.reserve(static_cast<size_t>(num_sites));
@@ -73,7 +69,7 @@ RunResult RunThreaded(sim::Protocol* protocol,
   common::RuntimeAtomic<int64_t> echoes_received{0};
 
   // Sites on their own threads; the coordinator is the calling thread.
-  std::vector<std::thread> sites;
+  std::vector<std::jthread> sites;
   sites.reserve(static_cast<size_t>(num_sites));
   for (int i = 0; i < num_sites; ++i) {
     sites.emplace_back(SiteLoop, std::cref(shards[static_cast<size_t>(i)]),
@@ -81,6 +77,11 @@ RunResult RunThreaded(sim::Protocol* protocol,
                        echoes[static_cast<size_t>(i)].get(), &site_done[i],
                        &echoes_received);
   }
+  // Readers start after the sites, so they do not compete with the setup
+  // above. One publish per ProcessBatch return: far fewer than one per
+  // update.
+  internal::Server server(protocol, options.num_readers, options.capture,
+                          total_updates, total_updates / 8 + 16);
 
   // Coordinator: round-robin over the mailboxes, feeding contiguous spans
   // straight from the ring storage (zero copies).
@@ -113,7 +114,7 @@ RunResult RunThreaded(sim::Protocol* protocol,
     std::this_thread::yield();
   }
   NMC_CHECK_EQ(server.updates(), total_updates);
-  for (std::thread& site : sites) site.join();
+  for (std::jthread& site : sites) site.join();
 
   RunResult out;
   out.transport = TransportKind::kThreads;

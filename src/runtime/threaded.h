@@ -60,9 +60,10 @@ struct ThreadedRunResult {
   /// Reader-observed generation going backwards — any nonzero value is a
   /// published-estimate ordering bug.
   int64_t generation_regressions = 0;
-  /// Summed over readers: each reader's running time, from its first poll
-  /// to the run's end. total_reads over the mean of it is the read rate of
-  /// a reader that was actually running.
+  /// Summed over readers: each reader thread's CPU time, i.e. the time it
+  /// was actually running. total_reads over the mean of it is the read
+  /// rate of a running reader, however little of the run the host
+  /// scheduled it for.
   double reader_seconds = 0.0;
   PublishedEstimate final_published;
   /// Captured only when options.capture is set.
