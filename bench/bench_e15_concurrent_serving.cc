@@ -19,9 +19,10 @@
 // interquartile range: one pass over 2^16 updates lasts a few ms, and a
 // single pass swung 2x between runs of the same binary. A pass's read rate
 // is its total reads over the readers' mean CPU time, so a reader the host
-// starts late or deschedules does not read as a slow one. Every reported
-// median is also recorded via RecordMetric, so the BENCH json carries
-// bench/bench_e15_concurrent_serving/<metric> rows for
+// starts late or deschedules does not read as a slow one; a pass in which
+// no reader got to read has no rate and is left out of the median. Every
+// reported median is also recorded via RecordMetric, so the BENCH json
+// carries bench/bench_e15_concurrent_serving/<metric> rows for
 // scripts/compare_bench.py.
 
 #include <chrono>
@@ -67,6 +68,7 @@ struct Timed {
 };
 
 Timed Summarize(const std::vector<double>& samples) {
+  if (samples.empty()) return Timed{};
   return Timed{nmc::common::Quantile(samples, 0.5),
                nmc::common::Quantile(samples, 0.75) -
                    nmc::common::Quantile(samples, 0.25)};
@@ -150,7 +152,8 @@ double SimTransportUpdatesPerSec(
 /// through the unified transport entry point.
 struct ServingPass {
   double updates_per_sec = 0.0;
-  double reads_per_sec = 0.0;
+  /// Negative when no reader got to read: such a pass has no read rate.
+  double reads_per_sec = -1.0;
   /// Reader snapshots retried because a publish overlapped them.
   double read_retries = 0.0;
 };
@@ -179,7 +182,7 @@ ServingPass RunServingPass(const E15Options& options,
   // rate it served while running, instead of diluting the figure with time
   // it never ran.
   const double reader_seconds = result.serving.reader_seconds / readers;
-  if (reader_seconds > 0.0) {
+  if (result.serving.total_reads > 0 && reader_seconds > 0.0) {
     pass.reads_per_sec =
         static_cast<double>(result.serving.total_reads) / reader_seconds;
   }
@@ -198,11 +201,11 @@ struct ServingPoint {
 ServingPoint RunServingPoint(const E15Options& options,
                              const std::vector<std::vector<double>>& shards,
                              int readers, TransportKind kind) {
-  std::vector<double> updates(kPasses), reads(kPasses), retries(kPasses);
+  std::vector<double> updates(kPasses), reads, retries(kPasses);
   for (int i = 0; i < kPasses; ++i) {
     const ServingPass pass = RunServingPass(options, shards, readers, kind);
     updates[i] = pass.updates_per_sec;
-    reads[i] = pass.reads_per_sec;
+    if (pass.reads_per_sec >= 0.0) reads.push_back(pass.reads_per_sec);
     retries[i] = pass.read_retries;
   }
   return ServingPoint{readers, Summarize(updates), Summarize(reads),

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <span>
 #include <thread>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "common/atomic_policy.h"
 #include "common/check.h"
 #include "common/seqlock.h"
+#include "common/thread_pool.h"
 #include "runtime/threaded.h"
 #include "sim/protocol.h"
 
@@ -62,10 +65,12 @@ class Server {
     }
     estimate_ = protocol_->Estimate();
     Publish();
+    if (num_readers == 0) return;
     readers_.resize(static_cast<size_t>(num_readers));
+    pool_ = std::make_unique<common::ThreadPool>(num_readers);
     for (Reader& reader : readers_) {
       reader.samples.resize(static_cast<size_t>(kReaderSampleCapacity));
-      reader.thread = std::thread([this, &reader]() { Read(&reader); });
+      reader.task = pool_->Submit([this, &reader]() { Read(&reader); });
     }
   }
 
@@ -138,7 +143,7 @@ class Server {
     int64_t sampled = 0;
     double seconds = 0.0;
     std::vector<ReadSample> samples;
-    std::thread thread;
+    std::future<void> task;
   };
 
   void Publish() {
@@ -149,6 +154,7 @@ class Server {
   }
 
   void Read(Reader* reader) const {
+    const double start = ThreadCpuSeconds();
     int64_t last_generation = 0;
     while (!done_.load(std::memory_order_acquire)) {
       PublishedEstimate snapshot;
@@ -171,18 +177,23 @@ class Server {
       }
       if (reader->reads % kReaderYieldEvery == 0) std::this_thread::yield();
     }
-    // The thread's CPU time, not the time since it started: on a loaded
-    // host a reader can be descheduled for most of the run.
+    reader->seconds = ThreadCpuSeconds() - start;
+  }
+
+  /// The calling thread's CPU time. A reader's running time is measured in
+  /// it, not in time since it started: a loaded host can deschedule a
+  /// reader for most of the run.
+  static double ThreadCpuSeconds() {
     timespec cpu{};
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &cpu);
-    reader->seconds = static_cast<double>(cpu.tv_sec) +
-                      static_cast<double>(cpu.tv_nsec) * 1e-9;
+    return static_cast<double>(cpu.tv_sec) +
+           static_cast<double>(cpu.tv_nsec) * 1e-9;
   }
 
   void StopReaders() {
     done_.store(true, std::memory_order_release);
     for (Reader& reader : readers_) {
-      if (reader.thread.joinable()) reader.thread.join();
+      if (reader.task.valid()) reader.task.get();
     }
   }
 
@@ -195,6 +206,9 @@ class Server {
   common::Seqlock<PublishedEstimate> slot_;
   common::RuntimeAtomic<bool> done_{false};
   std::vector<Reader> readers_;
+  /// Pool workers, not fresh threads: on a loaded host a newly created
+  /// thread can wait several scheduler ticks before it first runs.
+  std::unique_ptr<common::ThreadPool> pool_;
 };
 
 }  // namespace nmc::runtime::internal
